@@ -579,13 +579,11 @@ impl Parser {
     fn closure_starts_here(&self) -> bool {
         let prev_ok = match self.pos.checked_sub(1).and_then(|i| self.toks.get(i)) {
             None => true,
-            Some(t) => match (t.kind, t.text.as_str()) {
-                (TokKind::Punct, "(" | "[" | "{" | "," | ";" | "=" | "=>" | ":" | "?" | "&") => {
-                    true
-                }
-                (TokKind::Ident, "move" | "return" | "else" | "in") => true,
-                _ => false,
-            },
+            Some(t) => matches!(
+                (t.kind, t.text.as_str()),
+                (TokKind::Punct, "(" | "[" | "{" | "," | ";" | "=" | "=>" | ":" | "?" | "&")
+                    | (TokKind::Ident, "move" | "return" | "else" | "in")
+            ),
         };
         if !prev_ok {
             return false;
@@ -1259,7 +1257,7 @@ impl Parser {
         f: &mut Function,
         depth: &mut i64,
         calls: &mut Vec<OpenCall>,
-        lets: &mut Vec<OpenLet>,
+        lets: &mut [OpenLet],
         closures: &[OpenClosure],
         struct_lits: &mut Vec<OpenStructLit>,
     ) {

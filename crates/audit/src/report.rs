@@ -68,8 +68,8 @@ impl Report {
             return;
         }
         self.rules.retain(|r| only.iter().any(|o| o == r.id));
-        self.violations.retain(|v| only.iter().any(|o| *o == v.rule));
-        self.advisories.retain(|v| only.iter().any(|o| *o == v.rule));
+        self.violations.retain(|v| only.contains(&v.rule));
+        self.advisories.retain(|v| only.contains(&v.rule));
     }
 
     /// Promotes `stale-allow` advisories to blocking violations

@@ -119,7 +119,8 @@ pub fn worker_threads() -> u32 {
 /// it into the run manifest. Called by [`controller`], which every
 /// bench binary goes through. Harmless when a pool already exists —
 /// rayon forbids re-configuration, so the first installer wins — which
-/// is exactly what scoped-pool callers like `parallel_smoke` rely on.
+/// is exactly what scoped-pool callers like `grid_smoke --mode parallel`
+/// rely on.
 pub fn install_thread_pool() {
     // An Err means a global pool is already installed; its size wins.
     let _ = rayon::ThreadPoolBuilder::new().num_threads(worker_threads() as usize).build_global();

@@ -2,7 +2,7 @@
 //! width of parallel stages (including nested ones running on worker
 //! threads), the override must not leak out of `install`, and the
 //! global installer must tolerate repeated calls — the properties
-//! `parallel_smoke` and the bench binaries build on.
+//! `grid_smoke --mode parallel` and the bench binaries build on.
 
 use rayon::prelude::*;
 

@@ -2,7 +2,7 @@
 //! evaluation module, and exploits design-time knowledge (error types, ML
 //! task, available signals) to sidestep unnecessary experiments.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rayon::prelude::*;
@@ -14,6 +14,7 @@ use rein_guard::{CrashWhen, GuardPolicy, StrategyFailure};
 use rein_ml::model::{ClassifierKind, ClustererKind, RegressorKind};
 use rein_repair::{RepairCategory, RepairKind};
 use rein_store::{CrashPoint, Store, StoreWriter};
+use rein_telemetry::SpanCtx;
 
 use crate::evaluate::{
     eval_classifier_guarded, eval_clusterer, eval_regressor_guarded, repair_quality_categorical,
@@ -67,8 +68,8 @@ pub struct Controller {
     /// dispatching each cell, replays hits without executing the
     /// strategy, and commits every computed cell through the store's
     /// write-ahead journal at the grid's sequential merge points
-    /// (DESIGN.md §6j). `None` runs the grid store-less, byte-identical
-    /// to the pre-store behaviour.
+    /// (DESIGN.md §6j). `None` runs the same grid with every lookup
+    /// missing and nothing committed.
     pub store: Option<Arc<Store>>,
 }
 
@@ -121,83 +122,21 @@ impl Controller {
         Plan { detectors, generic_repairers: generic, ml_repairers: ml }
     }
 
-    /// Runs the detection phase: every planned detector, in parallel.
-    /// Each worker opens a **cell trace root** named for its grid
-    /// coordinate and keyed by the cell's [`CellKey`] digest, so every
-    /// span and instant the detector produces reconstructs into that
-    /// cell's tree after the sharded sink merges (DESIGN.md §6i).
-    ///
-    /// [`CellKey`]: crate::cache_key::CellKey
+    /// Runs the detection phase store-less: every planned detector, in
+    /// parallel, each under its cell trace root (see
+    /// [`Controller::run_grid`]).
     pub fn run_detection(&self, ds: &GeneratedDataset) -> Vec<DetectorRun> {
-        let plan = self.plan(ds);
-        let span = rein_telemetry::span("controller:detect");
-        // Detector spans open on rayon worker threads; hand them the
-        // phase span explicitly so nesting survives the fan-out.
-        let parent = Some(span.ctx());
-        let dirty_id = table_identity(&ds.dirty);
-        let runs: Vec<DetectorRun> = plan
-            .detectors
-            .par_iter()
-            .map(|&kind| {
-                let strategy = format!("detect:{}", kind.name());
-                let cell_seed = derive_seed(self.seed, kind.index_letter() as u64);
-                let trace = self.cell_key(ds, &dirty_id, &strategy, self.scale, cell_seed).hash();
-                let _worker =
-                    rein_telemetry::span_traced(format!("cell:{strategy}"), parent, trace);
-                let harness = DetectorHarness::new(ds, self.label_budget, cell_seed)
-                    .with_policy(self.policy.clone());
-                harness.run(ds, kind)
-            })
-            .collect();
-        let failed = runs.iter().filter(|r| r.failure.is_some()).count();
-        self.emit_progress(&format!(
-            "dataset={} phase=detect done={} failed={failed} total={}",
-            ds.info.name,
-            runs.len(),
-            runs.len()
-        ));
-        runs
+        Grid::new(self, None, ds).detect_phase().into_iter().map(|cell| cell.run).collect()
     }
 
-    /// Runs the repair phase for one detector's detections: every planned
-    /// generic repairer plus the ML-oriented ones.
+    /// Runs the repair phase store-less for one detector's detections:
+    /// every planned generic repairer plus the ML-oriented ones.
     pub fn run_repairs(&self, ds: &GeneratedDataset, detection: &DetectorRun) -> Vec<RepairRun> {
-        let plan = self.plan(ds);
-        let kinds: Vec<RepairKind> =
-            plan.generic_repairers.iter().chain(plan.ml_repairers.iter()).copied().collect();
-        let span = rein_telemetry::span("controller:repair");
-        let parent = Some(span.ctx());
-        // Repair cells consume the dirty table (plus the detector's
-        // mask, named in the strategy coordinate): its identity is the
-        // `dataset_version` component of the cell trace id.
-        let dirty_id = table_identity(&ds.dirty);
-        let runs: Vec<RepairRun> = kinds
-            .par_iter()
-            .map(|&kind| {
-                let strategy = format!("repair:{}#{}", kind.name(), detection.kind.name());
-                let cell_seed = derive_seed(self.seed, kind.index() as u64);
-                let trace = self.cell_key(ds, &dirty_id, &strategy, self.scale, cell_seed).hash();
-                let _worker =
-                    rein_telemetry::span_traced(format!("cell:{strategy}"), parent, trace);
-                run_repair_guarded(
-                    ds,
-                    &detection.mask,
-                    kind,
-                    cell_seed,
-                    detection.kind.name(),
-                    &self.policy,
-                )
-            })
-            .collect();
-        let failed = runs.iter().filter(|r| r.failure.is_some()).count();
-        self.emit_progress(&format!(
-            "dataset={} phase=repair detector={} done={} failed={failed} total={}",
-            ds.info.name,
-            detection.kind.name(),
-            runs.len(),
-            runs.len()
-        ));
-        runs
+        Grid::new(self, None, ds)
+            .repair_phase(detection)
+            .into_iter()
+            .filter_map(|cell| cell.run)
+            .collect()
     }
 
     /// Runs the full benchmark grid — detection, repair, and (when
@@ -214,455 +153,38 @@ impl Controller {
     /// The map is the grid's deterministic fingerprint: every seed is
     /// derived per cell from the controller seed and the cell's
     /// coordinates, never from worker identity or arrival order, so the
-    /// serialized bytes are identical at any rayon pool width. The
-    /// `parallel_smoke` binary asserts exactly that (1 ≡ 4 ≡ N threads),
-    /// and `chaos_smoke` compares fault-free and fault-injected runs of
-    /// the same map.
+    /// serialized bytes are identical at any rayon pool width. With a
+    /// [`Controller::store`], hits replay the stored payload bytes
+    /// verbatim, so a cold, warm or resumed grid yields the same map as
+    /// a store-less one. `grid_smoke --mode parallel` asserts the
+    /// pool-width invariance (1 ≡ 4 ≡ N threads), `--mode chaos`
+    /// compares fault-free and fault-injected runs of the same map, and
+    /// `--mode crash` kills and resumes a store-backed run against it.
     pub fn run_grid(
         &self,
         ds: &GeneratedDataset,
         scenarios: &[Scenario],
         repeats: usize,
     ) -> BTreeMap<String, String> {
-        match self.store.as_deref() {
-            // audit:allow(seed-provenance, store only selects persistence; every cell seed still derives from self.seed and the cell coordinates)
-            Some(store) => self.run_grid_stored(store, ds, scenarios, repeats),
-            None => self.run_grid_direct(ds, scenarios, repeats),
-        }
-    }
-
-    /// The store-less grid: every cell computes, nothing persists.
-    fn run_grid_direct(
-        &self,
-        ds: &GeneratedDataset,
-        scenarios: &[Scenario],
-        repeats: usize,
-    ) -> BTreeMap<String, String> {
         let _span = rein_telemetry::span("controller:grid");
+        let grid = Grid::new(self, self.store.as_deref(), ds);
         let mut cells = BTreeMap::new();
-        let detections = self.run_detection(ds);
-        for (det_ix, det) in detections.iter().enumerate() {
-            let key = format!("detect:{}", det.kind.name());
-            cells.insert(key, detect_payload(&det.mask));
-            // audit:allow(seed-provenance, det only names the guard scope; every repair seed is derived inside run_repairs from self.seed and the repair kind)
-            let repairs = self.run_repairs(ds, det);
-            for rep in &repairs {
-                let key = format!("repair:{}#{}", rep.kind.name(), det.kind.name());
-                cells.insert(key, repair_payload(rep));
-            }
-            cells.extend(self.eval_cells(ds, det, det_ix, &repairs, scenarios, repeats));
+        for (det_ix, det) in grid.detect_phase().into_iter().enumerate() {
+            // audit:allow(seed-provenance, det only names the guard scope; every repair seed derives from self.seed and the repair kind in Grid::repair_phase)
+            let mut repairs = grid.repair_phase(&det.run);
+            // audit:allow(seed-provenance, det names the guard scope and det_ix the plan position; eval seeds derive from self.seed and the cell coordinates in Grid::eval_phase)
+            let evals = grid.eval_phase(&det.run, det_ix, &mut repairs, scenarios, repeats);
+            // The payloads were built on pool workers. Copying them on this
+            // thread keeps the long-lived map out of the workers' malloc
+            // arenas, which otherwise stay pinned and raise peak RSS.
+            cells.insert(det.id.coordinate, det.payload.clone());
+            cells
+                .extend(repairs.into_iter().map(|cell| (cell.id.coordinate, cell.payload.clone())));
+            cells.extend(evals.into_iter().map(|cell| (cell.id.coordinate, cell.payload.clone())));
         }
         self.emit_progress(&format!(
             "dataset={} grid complete cells={}",
             ds.info.name,
-            cells.len()
-        ));
-        cells
-    }
-
-    /// The store-backed grid (DESIGN.md §6j): per phase, consult the
-    /// store sequentially, compute only the misses in parallel (under
-    /// exactly the per-cell seeds and trace roots the direct grid
-    /// uses), and commit the computed cells through the write-ahead
-    /// journal at the phase's sequential merge point. Hits replay the
-    /// stored payload bytes verbatim, so a warm grid's cell map is
-    /// byte-identical to a cold one.
-    fn run_grid_stored(
-        &self,
-        store: &Store,
-        ds: &GeneratedDataset,
-        scenarios: &[Scenario],
-        repeats: usize,
-    ) -> BTreeMap<String, String> {
-        let _span = rein_telemetry::span("controller:grid");
-        let plan = self.plan(ds);
-        let dirty_id = table_identity(&ds.dirty);
-        let mut cells = BTreeMap::new();
-        let detections = self.stored_detection(store, ds, &plan, &dirty_id);
-        for (det_ix, (det, coordinate, payload)) in detections.iter().enumerate() {
-            cells.insert(coordinate.clone(), payload.clone());
-            // audit:allow(seed-provenance, det names the guard scope and det_ix the plan position; repair and eval seeds derive from self.seed exactly like the direct grid)
-            let repairs = self.stored_repairs(store, ds, &plan, &dirty_id, det);
-            for slot in &repairs {
-                cells.insert(slot.coordinate.clone(), slot.payload.clone());
-            }
-            // audit:allow(seed-provenance, det_ix is the detector's plan position; eval seeds derive from self.seed and the cell coordinates as in eval_cells)
-            cells.extend(self.stored_evals(store, ds, det, det_ix, repairs, scenarios, repeats));
-        }
-        self.emit_progress(&format!(
-            "dataset={} grid complete cells={}",
-            ds.info.name,
-            cells.len()
-        ));
-        cells
-    }
-
-    /// Store-backed detection: hits deserialize the stored mask and
-    /// replay ([`replay_detector_run`]); misses run the detector under
-    /// the same seed/trace the direct phase would use, then commit.
-    /// Returns `(run, coordinate, payload)` in plan order.
-    fn stored_detection(
-        &self,
-        store: &Store,
-        ds: &GeneratedDataset,
-        plan: &Plan,
-        dirty_id: &str,
-    ) -> Vec<(DetectorRun, String, String)> {
-        let span = rein_telemetry::span("controller:detect");
-        let parent = Some(span.ctx());
-        let slots: Vec<(DetectorKind, String, u64, String, u64)> = plan
-            .detectors
-            .iter()
-            .map(|&kind| {
-                let coordinate = format!("detect:{}", kind.name());
-                let seed = derive_seed(self.seed, kind.index_letter() as u64);
-                let key = self.cell_key(ds, dirty_id, &coordinate, self.scale, seed);
-                (kind, coordinate, seed, key.content_key(), key.hash())
-            })
-            .collect();
-        // Sequential store consultation. A stored payload that fails to
-        // parse back into a mask is treated as a miss, never trusted.
-        let mut out: Vec<Option<(DetectorRun, String)>> = slots
-            .iter()
-            .map(|(kind, _, _, digest, _)| {
-                let cell = store.lookup(digest)?;
-                let mask: CellMask = serde_json::from_str(&cell.payload).ok()?;
-                Some((replay_detector_run(ds, *kind, mask), cell.payload))
-            })
-            .collect();
-        let hits = out.iter().filter(|o| o.is_some()).count();
-        rein_telemetry::counter("store_hits").add(hits as u64);
-        rein_telemetry::counter("store_misses").add((slots.len() - hits) as u64);
-        let writer = StoreWriter::with_shards(rayon::current_num_threads().max(1));
-        let missing: Vec<usize> = (0..slots.len()).filter(|&i| out[i].is_none()).collect();
-        let computed: Vec<(usize, DetectorRun, String)> = missing
-            .par_iter()
-            .map(|&i| {
-                let (kind, coordinate, seed, digest, trace) = &slots[i];
-                let _worker =
-                    rein_telemetry::span_traced(format!("cell:{coordinate}"), parent, *trace);
-                let harness = DetectorHarness::new(ds, self.label_budget, *seed)
-                    .with_policy(self.policy.clone());
-                let run = harness.run(ds, *kind);
-                let payload = detect_payload(&run.mask);
-                writer.stage(digest, coordinate, &payload, None);
-                (i, run, payload)
-            })
-            .collect();
-        self.commit(store, &writer);
-        for (i, run, payload) in computed {
-            out[i] = Some((run, payload));
-        }
-        let runs: Vec<(DetectorRun, String, String)> = slots
-            .into_iter()
-            .zip(out)
-            .map(|((_, coordinate, _, _, _), resolved)| {
-                // audit:allow(panic, every store miss was computed in the loop above)
-                let (run, payload) = resolved.expect("detect cell resolved");
-                (run, coordinate, payload)
-            })
-            .collect();
-        let failed = runs.iter().filter(|(r, _, _)| r.failure.is_some()).count();
-        self.emit_progress(&format!(
-            "dataset={} phase=detect done={} failed={failed} total={} hits={hits}",
-            ds.info.name,
-            runs.len(),
-            runs.len()
-        ));
-        runs
-    }
-
-    /// Store-backed repair phase for one detector's detections. Hits
-    /// keep the stored payload bytes (and the produced version's
-    /// content identity from the record's aux field) without
-    /// rehydrating the table; misses run the repairer live and commit.
-    fn stored_repairs(
-        &self,
-        store: &Store,
-        ds: &GeneratedDataset,
-        plan: &Plan,
-        dirty_id: &str,
-        det: &DetectorRun,
-    ) -> Vec<RepairSlot> {
-        let kinds: Vec<RepairKind> =
-            plan.generic_repairers.iter().chain(plan.ml_repairers.iter()).copied().collect();
-        let span = rein_telemetry::span("controller:repair");
-        let parent = Some(span.ctx());
-        let metas: Vec<(RepairKind, String, u64, String, u64, Option<rein_store::StoredCell>)> =
-            kinds
-                .iter()
-                .map(|&kind| {
-                    let coordinate = format!("repair:{}#{}", kind.name(), det.kind.name());
-                    let seed = derive_seed(self.seed, kind.index() as u64);
-                    let key = self.cell_key(ds, dirty_id, &coordinate, self.scale, seed);
-                    let digest = key.content_key();
-                    let hit = store.lookup(&digest);
-                    (kind, coordinate, seed, digest, key.hash(), hit)
-                })
-                .collect();
-        let hits = metas.iter().filter(|m| m.5.is_some()).count();
-        rein_telemetry::counter("store_hits").add(hits as u64);
-        rein_telemetry::counter("store_misses").add((metas.len() - hits) as u64);
-        let writer = StoreWriter::with_shards(rayon::current_num_threads().max(1));
-        let missing: Vec<usize> = (0..metas.len()).filter(|&i| metas[i].5.is_none()).collect();
-        let computed: Vec<(usize, RepairRun, String, Option<String>)> = missing
-            .par_iter()
-            .map(|&i| {
-                let (kind, coordinate, seed, digest, trace, _) = &metas[i];
-                let _worker =
-                    rein_telemetry::span_traced(format!("cell:{coordinate}"), parent, *trace);
-                let run =
-                    run_repair_guarded(ds, &det.mask, *kind, *seed, det.kind.name(), &self.policy);
-                let payload = repair_payload(&run);
-                let version_id = run.version.as_ref().map(|v| v.content_identity());
-                writer.stage(digest, coordinate, &payload, version_id.as_deref());
-                (i, run, payload, version_id)
-            })
-            .collect();
-        self.commit(store, &writer);
-        let mut live: BTreeMap<usize, (RepairRun, String, Option<String>)> =
-            computed.into_iter().map(|(i, run, payload, vid)| (i, (run, payload, vid))).collect();
-        let failed = live.values().filter(|(run, _, _)| run.failure.is_some()).count();
-        let slots: Vec<RepairSlot> = metas
-            .into_iter()
-            .enumerate()
-            .map(|(i, (kind, coordinate, seed, _, trace, hit))| match hit {
-                Some(cell) => RepairSlot {
-                    kind,
-                    coordinate,
-                    seed,
-                    trace,
-                    payload: cell.payload,
-                    version_id: cell.aux,
-                    run: None,
-                },
-                None => {
-                    // audit:allow(panic, every store miss was computed in the loop above)
-                    let (run, payload, version_id) = live.remove(&i).expect("repair cell resolved");
-                    RepairSlot {
-                        kind,
-                        coordinate,
-                        seed,
-                        trace,
-                        payload,
-                        version_id,
-                        run: Some(run),
-                    }
-                }
-            })
-            .collect();
-        self.emit_progress(&format!(
-            "dataset={} phase=repair detector={} done={} failed={failed} total={} hits={hits}",
-            ds.info.name,
-            det.kind.name(),
-            slots.len(),
-            slots.len()
-        ));
-        slots
-    }
-
-    /// Store-backed evaluation layer. Eval misses whose repair was a
-    /// store hit first rehydrate that repair live (same seed — the
-    /// audit's purity certificate makes the recompute byte-identical;
-    /// any payload mismatch is counted as `store_divergence`, never
-    /// silently accepted), then evaluate and commit.
-    #[allow(clippy::too_many_arguments)]
-    fn stored_evals(
-        &self,
-        store: &Store,
-        ds: &GeneratedDataset,
-        det: &DetectorRun,
-        det_ix: usize,
-        mut repairs: Vec<RepairSlot>,
-        scenarios: &[Scenario],
-        repeats: usize,
-    ) -> Vec<(String, String)> {
-        if scenarios.is_empty() || repeats == 0 {
-            return Vec::new();
-        }
-        let span = rein_telemetry::span("controller:evaluate");
-        let parent = Some(span.ctx());
-        let work: Vec<(usize, usize)> = (0..scenarios.len())
-            .flat_map(|si| {
-                repairs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, r)| r.version_id.is_some())
-                    .map(move |(ri, _)| (si, ri))
-            })
-            .collect();
-        let metas: Vec<EvalMeta> = work
-            .iter()
-            .map(|&(si, ri)| {
-                let rep = &repairs[ri];
-                // audit:allow(panic, the work list above is filtered to versioned repairs)
-                let version_id = rep.version_id.as_deref().expect("versioned repair identity");
-                let key = format!(
-                    "eval:{}:{}#{}",
-                    scenarios[si].name(),
-                    rep.kind.name(),
-                    det.kind.name()
-                );
-                let seed = derive_seed(
-                    self.seed,
-                    40_000 + (det_ix as u64) * 1_000 + (si as u64) * 100 + ri as u64,
-                );
-                let ck = self.cell_key(ds, version_id, &key, self.scale, seed);
-                let hit = store.lookup(&ck.content_key()).map(|c| c.payload);
-                EvalMeta { si, ri, key, seed, digest: ck.content_key(), trace: ck.hash(), hit }
-            })
-            .collect();
-        let hits = metas.iter().filter(|m| m.hit.is_some()).count();
-        rein_telemetry::counter("store_hits").add(hits as u64);
-        rein_telemetry::counter("store_misses").add((metas.len() - hits) as u64);
-        // Rehydrate each stored repair version that an eval miss needs,
-        // exactly once, in parallel.
-        let need: BTreeSet<usize> = metas
-            .iter()
-            .filter(|m| m.hit.is_none() && repairs[m.ri].run.is_none())
-            .map(|m| m.ri)
-            .collect();
-        let need: Vec<usize> = need.into_iter().collect();
-        let rehydrated: Vec<(usize, RepairRun)> = need
-            .par_iter()
-            .map(|&ri| {
-                let slot = &repairs[ri];
-                let _worker = rein_telemetry::span_traced(
-                    format!("cell:{}", slot.coordinate),
-                    parent,
-                    slot.trace,
-                );
-                let run = run_repair_guarded(
-                    ds,
-                    &det.mask,
-                    slot.kind,
-                    slot.seed,
-                    det.kind.name(),
-                    &self.policy,
-                );
-                (ri, run)
-            })
-            .collect();
-        rein_telemetry::counter("store_rehydrated").add(rehydrated.len() as u64);
-        for (ri, run) in rehydrated {
-            if repair_payload(&run) != repairs[ri].payload {
-                rein_telemetry::counter("store_divergence").incr();
-            }
-            repairs[ri].run = Some(run);
-        }
-        let writer = StoreWriter::with_shards(rayon::current_num_threads().max(1));
-        let missing: Vec<usize> = (0..metas.len()).filter(|&i| metas[i].hit.is_none()).collect();
-        let computed: Vec<(usize, String)> = missing
-            .par_iter()
-            .map(|&i| {
-                let EvalMeta { si, ri, key, seed, digest, trace, .. } = &metas[i];
-                let slot = &repairs[*ri];
-                // audit:allow(panic, every eval-missed stored repair was rehydrated above)
-                let run = slot.run.as_ref().expect("rehydrated repair");
-                // audit:allow(panic, purity-certified recompute of a version-producing repair yields a version)
-                let version = run.version.as_ref().expect("versioned repair");
-                let _worker = rein_telemetry::span_traced(format!("cell:{key}"), parent, *trace);
-                let payload = self.eval_cell(ds, scenarios[*si], version, repeats, *seed);
-                writer.stage(digest, key, &payload, None);
-                (i, payload)
-            })
-            .collect();
-        self.commit(store, &writer);
-        let mut live: BTreeMap<usize, String> = computed.into_iter().collect();
-        let cells: Vec<(String, String)> = metas
-            .into_iter()
-            .enumerate()
-            .map(|(i, m)| match m.hit {
-                Some(payload) => (m.key, payload),
-                // audit:allow(panic, every store miss was computed in the loop above)
-                None => (m.key, live.remove(&i).expect("eval cell resolved")),
-            })
-            .collect();
-        let failed = cells.iter().filter(|(_, v)| v.contains(" failure:")).count();
-        self.emit_progress(&format!(
-            "dataset={} phase=eval detector={} done={} failed={failed} total={} hits={hits}",
-            ds.info.name,
-            det.kind.name(),
-            cells.len(),
-            cells.len()
-        ));
-        cells
-    }
-
-    /// Commits everything staged in `writer` through the store's
-    /// write-ahead journal, translating the policy's `REIN_CRASH` rules
-    /// into the store's commit-point injection. A commit I/O failure
-    /// degrades to recompute-next-run: it is counted, never fatal to
-    /// the in-flight grid (the in-memory cell map is already correct).
-    fn commit(&self, store: &Store, writer: &StoreWriter) {
-        let crash = |coordinate: &str| {
-            self.policy.crash.when_for(coordinate).map(|when| match when {
-                CrashWhen::Before => CrashPoint::Before,
-                CrashWhen::After => CrashPoint::After,
-            })
-        };
-        if store.commit_staged(writer, &crash).is_err() {
-            rein_telemetry::counter("store_commit_errors").incr();
-        }
-    }
-
-    /// The evaluation layer of [`Controller::run_grid`]: every
-    /// (scenario × table-producing repair) cell for one detector, in
-    /// parallel, each under its own coordinate-derived seed.
-    fn eval_cells(
-        &self,
-        ds: &GeneratedDataset,
-        det: &DetectorRun,
-        det_ix: usize,
-        repairs: &[RepairRun],
-        scenarios: &[Scenario],
-        repeats: usize,
-    ) -> Vec<(String, String)> {
-        if scenarios.is_empty() || repeats == 0 {
-            return Vec::new();
-        }
-        let span = rein_telemetry::span("controller:evaluate");
-        let parent = Some(span.ctx());
-        // Per-repair version identities, computed once at the sequential
-        // merge point: each eval cell's trace id keys on the exact table
-        // version it consumes.
-        let version_ids: Vec<Option<String>> =
-            repairs.iter().map(|r| r.version.as_ref().map(|v| v.content_identity())).collect();
-        let work: Vec<(usize, usize)> = (0..scenarios.len())
-            .flat_map(|si| {
-                repairs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, r)| r.version.is_some())
-                    .map(move |(ri, _)| (si, ri))
-            })
-            .collect();
-        let cells: Vec<(String, String)> = work
-            .par_iter()
-            .map(|&(si, ri)| {
-                let scenario = scenarios[si];
-                let rep = &repairs[ri];
-                // audit:allow(panic, the work list above is filtered to table-producing repairs)
-                let version = rep.version.as_ref().expect("versioned repair");
-                // audit:allow(panic, the work list above is filtered to table-producing repairs)
-                let version_id = version_ids[ri].as_deref().expect("versioned repair identity");
-                let cell_seed = derive_seed(
-                    self.seed,
-                    40_000 + (det_ix as u64) * 1_000 + (si as u64) * 100 + ri as u64,
-                );
-                let key =
-                    format!("eval:{}:{}#{}", scenario.name(), rep.kind.name(), det.kind.name());
-                let trace = self.cell_key(ds, version_id, &key, self.scale, cell_seed).hash();
-                let _worker = rein_telemetry::span_traced(format!("cell:{key}"), parent, trace);
-                (key, self.eval_cell(ds, scenario, version, repeats, cell_seed))
-            })
-            .collect();
-        let failed = cells.iter().filter(|(_, v)| v.contains(" failure:")).count();
-        self.emit_progress(&format!(
-            "dataset={} phase=eval detector={} done={} failed={failed} total={}",
-            ds.info.name,
-            det.kind.name(),
-            cells.len(),
             cells.len()
         ));
         cells
@@ -801,31 +323,301 @@ impl Controller {
     }
 }
 
-/// One repair coordinate's state in the store-backed grid: the stored
-/// or freshly-computed cell payload, the produced version's content
-/// identity (the downstream eval cells' `dataset_version` key
-/// component), and — for live or rehydrated repairs — the run itself.
-struct RepairSlot {
-    kind: RepairKind,
-    coordinate: String,
-    seed: u64,
-    trace: u64,
-    payload: String,
-    version_id: Option<String>,
-    run: Option<RepairRun>,
+/// One grid run's shared context and its per-phase cell runner
+/// (DESIGN.md §6j). Every phase runs the same four steps: build the
+/// phase's cells in plan order ([`Grid::cell_id`]), look each one up in
+/// the store in plan order ([`Grid::lookup`]), compute the misses in
+/// parallel under their `cell:<coordinate>` trace roots and commit them
+/// at the phase's merge point ([`Grid::compute`]). Without a store every
+/// lookup misses and the commit does nothing.
+struct Grid<'a> {
+    ctrl: &'a Controller,
+    store: Option<&'a Store>,
+    ds: &'a GeneratedDataset,
+    detectors: Vec<DetectorKind>,
+    /// Planned generic repairers, then the ML-oriented ones.
+    repairers: Vec<RepairKind>,
+    /// Content identity of the dirty table: the `dataset_version` key
+    /// component of every detect and repair cell.
+    dirty_id: String,
 }
 
-/// One eval coordinate's store-consultation state: the scenario/repair
-/// indices it evaluates, its cell key material, and the stored payload
-/// when the lookup hit.
-struct EvalMeta {
-    si: usize,
-    ri: usize,
-    key: String,
+/// A phase's looked-up cells in plan order, `None` where the store
+/// missed, and the misses with their plan positions.
+type Lookup<R> = (Vec<Option<CellRecord<R>>>, Vec<(usize, CellId)>);
+
+impl<'a> Grid<'a> {
+    fn new(ctrl: &'a Controller, store: Option<&'a Store>, ds: &'a GeneratedDataset) -> Self {
+        let Plan { detectors, generic_repairers, ml_repairers } = ctrl.plan(ds);
+        Grid {
+            ctrl,
+            store,
+            ds,
+            detectors,
+            repairers: generic_repairers.into_iter().chain(ml_repairers).collect(),
+            dirty_id: table_identity(&ds.dirty),
+        }
+    }
+
+    /// The detection phase: every planned detector. A stored mask
+    /// replays without running the detector ([`replay_detector_run`]);
+    /// one that fails to parse back into a mask is a miss, never trusted.
+    fn detect_phase(&self) -> Vec<CellRecord<DetectorRun>> {
+        let span = rein_telemetry::span("controller:detect");
+        let ids = self
+            .detectors
+            .iter()
+            .map(|&kind| {
+                let seed = derive_seed(self.ctrl.seed, kind.index_letter() as u64);
+                self.cell_id(&self.dirty_id, format!("detect:{}", kind.name()), seed)
+            })
+            .collect();
+        let lookup = self.lookup(ids, |i, payload| {
+            let mask: CellMask = serde_json::from_str(payload).ok()?;
+            Some(replay_detector_run(self.ds, self.detectors[i], mask))
+        });
+        self.compute(
+            "phase=detect",
+            Some(span.ctx()),
+            lookup,
+            |i, id| {
+                let harness = DetectorHarness::new(self.ds, self.ctrl.label_budget, id.seed)
+                    .with_policy(self.ctrl.policy.clone());
+                let run = harness.run(self.ds, self.detectors[i]);
+                (detect_payload(&run.mask), None, run)
+            },
+            |cell| cell.run.failure.is_some(),
+        )
+    }
+
+    /// The repair phase for one detector's detections. A hit keeps the
+    /// stored payload and the produced version's identity (the aux
+    /// field) without running the repairer: its `run` stays `None`
+    /// unless an eval miss rehydrates it.
+    fn repair_phase(&self, det: &DetectorRun) -> Vec<CellRecord<Option<RepairRun>>> {
+        let span = rein_telemetry::span("controller:repair");
+        let ids = self
+            .repairers
+            .iter()
+            .map(|&kind| {
+                let seed = derive_seed(self.ctrl.seed, kind.index() as u64);
+                let coordinate = format!("repair:{}#{}", kind.name(), det.kind.name());
+                self.cell_id(&self.dirty_id, coordinate, seed)
+            })
+            .collect();
+        let lookup = self.lookup(ids, |_, _| Some(None));
+        self.compute(
+            &format!("phase=repair detector={}", det.kind.name()),
+            Some(span.ctx()),
+            lookup,
+            |i, id| {
+                // audit:allow(seed-provenance, id.seed was derived from self.seed and the repair kind when the cell's identity was built)
+                let run = self.repair_cell(det, i, id);
+                let version_id = run.version.as_ref().map(|v| v.content_identity());
+                (repair_payload(&run), version_id, Some(run))
+            },
+            |cell| cell.run.as_ref().is_some_and(|run| run.failure.is_some()),
+        )
+    }
+
+    /// Runs repairer `ri` on `det`'s detections under the cell's seed.
+    fn repair_cell(&self, det: &DetectorRun, ri: usize, id: &CellId) -> RepairRun {
+        let kind = self.repairers[ri];
+        run_repair_guarded(self.ds, &det.mask, kind, id.seed, det.kind.name(), &self.ctrl.policy)
+    }
+
+    /// The evaluation phase for one detector: every (scenario ×
+    /// table-producing repair) cell, keyed on the exact table version it
+    /// consumes. An eval miss whose repair was a store hit first
+    /// rehydrates that repair live under the repair cell's own seed and
+    /// trace root. The audit's purity certificate makes the recompute
+    /// byte-identical; a payload mismatch is counted as
+    /// `store_divergence`, never silently accepted.
+    fn eval_phase(
+        &self,
+        det: &DetectorRun,
+        det_ix: usize,
+        repairs: &mut [CellRecord<Option<RepairRun>>],
+        scenarios: &[Scenario],
+        repeats: usize,
+    ) -> Vec<CellRecord<()>> {
+        if scenarios.is_empty() || repeats == 0 {
+            return Vec::new();
+        }
+        let span = rein_telemetry::span("controller:evaluate");
+        let parent = Some(span.ctx());
+        let det_name = det.kind.name();
+        let mut work = Vec::new();
+        let mut ids = Vec::new();
+        for (si, &scenario) in scenarios.iter().enumerate() {
+            for (ri, rep) in repairs.iter().enumerate() {
+                let Some(version_id) = rep.aux.as_deref() else { continue };
+                let repairer = self.repairers[ri].name();
+                let coordinate = format!("eval:{}:{repairer}#{det_name}", scenario.name());
+                let position = (det_ix as u64) * 1_000 + (si as u64) * 100 + ri as u64;
+                let seed = derive_seed(self.ctrl.seed, 40_000 + position);
+                work.push((scenario, ri));
+                ids.push(self.cell_id(version_id, coordinate, seed));
+            }
+        }
+        let (cells, misses) = self.lookup(ids, |_, _| Some(()));
+        // Each stored repair an eval miss needs is rehydrated exactly
+        // once, in parallel.
+        let mut need: Vec<usize> = misses.iter().map(|&(i, _)| work[i].1).collect();
+        need.retain(|&ri| repairs[ri].run.is_none());
+        need.sort_unstable();
+        need.dedup();
+        let rehydrated: Vec<(usize, RepairRun)> = need
+            .par_iter()
+            .map(|&ri| {
+                let id = &repairs[ri].id;
+                let _worker = id.trace_root(parent);
+                (ri, self.repair_cell(det, ri, id))
+            })
+            .collect();
+        if self.store.is_some() {
+            rein_telemetry::counter("store_rehydrated").add(rehydrated.len() as u64);
+        }
+        for (ri, run) in rehydrated {
+            if repair_payload(&run) != repairs[ri].payload {
+                rein_telemetry::counter("store_divergence").incr();
+            }
+            repairs[ri].run = Some(run);
+        }
+        let repairs = &*repairs;
+        self.compute(
+            &format!("phase=eval detector={det_name}"),
+            parent,
+            (cells, misses),
+            |i, id| {
+                let (scenario, ri) = work[i];
+                let version = repairs[ri].run.as_ref().and_then(|run| run.version.as_ref());
+                // audit:allow(panic, eval cells exist only for version-producing repairs, and each miss's repair ran live or was rehydrated above)
+                let version = version.expect("versioned repair");
+                (self.ctrl.eval_cell(self.ds, scenario, version, repeats, id.seed), None, ())
+            },
+            |cell| cell.payload.contains(" failure:"),
+        )
+    }
+
+    /// Builds one cell's identity: a single [`CellKey`] whose hash is
+    /// both the trace id and, as hex, the store digest.
+    ///
+    /// [`CellKey`]: crate::cache_key::CellKey
+    fn cell_id(&self, dataset_version: &str, coordinate: String, seed: u64) -> CellId {
+        let key = self.ctrl.cell_key(self.ds, dataset_version, &coordinate, self.ctrl.scale, seed);
+        CellId { coordinate, seed, trace: key.hash() }
+    }
+
+    /// Looks each cell up in the store, one by one in plan order.
+    /// `replay` turns a stored payload into the phase's run, or rejects
+    /// it as a miss with `None`.
+    fn lookup<R>(&self, ids: Vec<CellId>, replay: impl Fn(usize, &str) -> Option<R>) -> Lookup<R> {
+        let (mut cells, mut misses) = (Vec::with_capacity(ids.len()), Vec::new());
+        for (i, id) in ids.into_iter().enumerate() {
+            let stored = self.store.and_then(|store| store.lookup(&id.digest()));
+            match stored.and_then(|cell| Some((replay(i, &cell.payload)?, cell))) {
+                Some((run, cell)) => {
+                    cells.push(Some(CellRecord { id, payload: cell.payload, aux: cell.aux, run }))
+                }
+                None => {
+                    cells.push(None);
+                    misses.push((i, id));
+                }
+            }
+        }
+        (cells, misses)
+    }
+
+    /// Computes every miss in parallel under its trace root, commits the
+    /// computed cells at the phase's merge point and prints the phase's
+    /// progress line. `compute_cell` returns a miss's payload, aux
+    /// identity and run; `failed` picks the cells counted as degraded.
+    /// Store counters move only when a store is attached.
+    fn compute<R: Send>(
+        &self,
+        label: &str,
+        parent: Option<SpanCtx>,
+        (mut cells, misses): Lookup<R>,
+        compute_cell: impl Fn(usize, &CellId) -> (String, Option<String>, R) + Sync,
+        failed: impl Fn(&CellRecord<R>) -> bool,
+    ) -> Vec<CellRecord<R>> {
+        let hits = cells.len() - misses.len();
+        if self.store.is_some() {
+            rein_telemetry::counter("store_hits").add(hits as u64);
+            rein_telemetry::counter("store_misses").add(misses.len() as u64);
+        }
+        let writer =
+            self.store.map(|_| StoreWriter::with_shards(rayon::current_num_threads().max(1)));
+        let computed: Vec<(usize, CellRecord<R>)> = misses
+            .into_par_iter()
+            .map(|(i, id)| {
+                let _worker = id.trace_root(parent);
+                let (payload, aux, run) = compute_cell(i, &id);
+                if let Some(writer) = &writer {
+                    writer.stage(&id.digest(), &id.coordinate, &payload, aux.as_deref());
+                }
+                (i, CellRecord { id, payload, aux, run })
+            })
+            .collect();
+        for (i, cell) in computed {
+            cells[i] = Some(cell);
+        }
+        if let (Some(store), Some(writer)) = (self.store, &writer) {
+            // `REIN_CRASH` rules become commit-point injection. A commit I/O
+            // failure is counted, never fatal: the cells are already correct.
+            let crash = |coordinate: &str| {
+                self.ctrl.policy.crash.when_for(coordinate).map(|when| match when {
+                    CrashWhen::Before => CrashPoint::Before,
+                    CrashWhen::After => CrashPoint::After,
+                })
+            };
+            if store.commit_staged(writer, &crash).is_err() {
+                rein_telemetry::counter("store_commit_errors").incr();
+            }
+        }
+        let cells: Vec<CellRecord<R>> = cells.into_iter().flatten().collect();
+        let failed = cells.iter().filter(|cell| failed(cell)).count();
+        self.ctrl.emit_progress(&format!(
+            "dataset={} {label} done={} failed={failed} total={} hits={hits}",
+            self.ds.info.name,
+            cells.len(),
+            cells.len()
+        ));
+        cells
+    }
+}
+
+/// One grid cell's identity, built once in plan order.
+struct CellId {
+    /// Grid coordinate: the cell-map key and the trace root's name.
+    coordinate: String,
+    /// The fully-derived cell seed.
     seed: u64,
-    digest: String,
+    /// The cell's `CellKey` hash: its trace id.
     trace: u64,
-    hit: Option<String>,
+}
+
+impl CellId {
+    /// The store digest: the same hash as `CellKey::content_key`.
+    fn digest(&self) -> String {
+        format!("{:016x}", self.trace)
+    }
+
+    /// Opens the cell's trace root under the phase span `parent`.
+    fn trace_root(&self, parent: Option<SpanCtx>) -> rein_telemetry::Span {
+        rein_telemetry::span_traced(format!("cell:{}", self.coordinate), parent, self.trace)
+    }
+}
+
+/// The runner's single cell record: identity, the payload bytes the cell
+/// map and the store hold, the aux identity stored beside them (a
+/// repair's produced version, keying its eval cells) and the phase's run.
+struct CellRecord<R> {
+    id: CellId,
+    payload: String,
+    aux: Option<String>,
+    run: R,
 }
 
 /// The canonical `detect:…` cell payload: the mask as JSON.
@@ -836,8 +628,7 @@ fn detect_payload(mask: &CellMask) -> String {
 
 /// The canonical `repair:…#…` cell payload: repaired CSV + modified
 /// cells + row map for version-producing repairs, a pipeline marker
-/// otherwise. Shared by the direct and store-backed grids so the
-/// store's committed bytes are exactly the direct grid's cell bytes.
+/// otherwise.
 fn repair_payload(rep: &RepairRun) -> String {
     match (&rep.version, &rep.repaired_cells) {
         (Some(v), Some(m)) => format!(
@@ -926,7 +717,7 @@ mod tests {
         for key in evals {
             assert!(cells[key].starts_with("scores:"), "{key} -> {}", cells[key]);
         }
-        // Byte-identity across pool widths is parallel_smoke's job; here
+        // Byte-identity across pool widths is `grid_smoke --mode parallel`'s job; here
         // we only pin the cell taxonomy.
     }
 
@@ -1024,6 +815,43 @@ mod tests {
         let warm_ctrl = Controller { store: Some(reopened), ..direct };
         let warm = warm_ctrl.run_grid(&ds, &[Scenario::S1], 1);
         assert_eq!(want, warm, "warm store-backed grid diverges from direct grid");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn eval_misses_rehydrate_stored_repairs() {
+        let ds = DatasetId::BreastCancer.generate(&Params::scaled(0.2, 6));
+        let root = std::env::temp_dir().join(format!("rein-ctrl-rehydrate-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let direct = Controller { label_budget: 30, seed: 7, ..Controller::default() };
+        let both = [Scenario::S1, Scenario::S2];
+        let want = direct.run_grid(&ds, &both, 1);
+
+        // An S1-only grid populates the store.
+        let store = Arc::new(Store::open(&root).unwrap());
+        let ctrl = Controller { store: Some(store.clone()), ..direct };
+        let s1 = ctrl.run_grid(&ds, &[Scenario::S1], 1);
+        assert_eq!(store.cell_count(), s1.len());
+
+        // The S1+S2 grid hits every detect, repair and S1 eval cell. Each
+        // S2 eval cell misses and evaluates a rehydrated stored repair.
+        let got = ctrl.run_grid(&ds, &both, 1);
+        assert_eq!(want, got, "rehydrated grid diverges from the store-less grid");
+        let s2_evals = want.keys().filter(|k| k.starts_with("eval:S2:")).count();
+        assert!(s2_evals > 0, "got {:?}", want.keys());
+        assert_eq!(store.cell_count(), s1.len() + s2_evals, "only the S2 eval cells committed");
+        drop(ctrl);
+        drop(store);
+
+        // The index deduplicates last-wins, so a detect or repair cell that
+        // missed and committed again would not grow `cell_count`; it would
+        // append a second journal record, which a reopen replays.
+        let reopened = Store::open(&root).unwrap();
+        assert_eq!(
+            reopened.recovery().replayed,
+            (s1.len() + s2_evals) as u64,
+            "the S1+S2 grid journalled only its S2 eval cells"
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 

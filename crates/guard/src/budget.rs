@@ -19,6 +19,7 @@
 use std::cell::Cell;
 
 use rein_data::rng::derive_seed;
+use rein_telemetry::fnv1a64;
 
 /// Ticks granted per grid cell of the strategy under guard.
 pub const TICKS_PER_CELL: u64 = 10_000;
@@ -51,7 +52,7 @@ impl Budget {
     /// seeds while staying a pure function of `(seed, strategy, cells)`.
     pub fn derive(seed: u64, strategy: &str, cells: u64) -> Self {
         let base = MIN_ALLOWANCE.max(cells.saturating_mul(TICKS_PER_CELL));
-        let jitter = derive_seed(seed, fnv1a(strategy) ^ cells) % JITTER_WIDTH;
+        let jitter = derive_seed(seed, fnv1a64(strategy.as_bytes()) ^ cells) % JITTER_WIDTH;
         Budget { allowance: base.saturating_add(jitter), spent: 0 }
     }
 }
@@ -111,16 +112,6 @@ pub fn checkpoint(cost: u64) {
             }
         }
     });
-}
-
-/// FNV-1a over a strategy name: a stable, dependency-free way to give
-/// each strategy its own jitter stream.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in s.bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01B3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -4,8 +4,8 @@
 //! testing: instead of degrading a strategy in-process (panic, stall,
 //! …), a matching rule makes the store **abort the whole process** at a
 //! specific commit point — a faithful `kill -9` with no unwinding, no
-//! `Drop` flushes and no buffered-write rescue. The `crash_smoke`
-//! binary uses it to prove that a resumed grid is byte-identical to an
+//! `Drop` flushes and no buffered-write rescue. `grid_smoke --mode crash`
+//! uses it to prove that a resumed grid is byte-identical to an
 //! uninterrupted one (DESIGN.md §6j).
 //!
 //! Grammar (comma-separated rules, first match wins):

@@ -7,21 +7,11 @@
 //! set) therefore maps to the same key, and the ledger never
 //! double-counts it.
 
-/// FNV-1a 64-bit over `bytes`. Chosen because it is tiny, dependency
-/// free, and byte-stable across platforms; collision resistance at
-/// ledger scale (hundreds of entries) is not a concern, and the
+/// FNV-1a 64-bit, defined once in rein-telemetry. Collision resistance
+/// at ledger scale (hundreds of entries) is not a concern, and the
 /// `(kind, source)` replace policy in the index disambiguates the
 /// pathological case.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
+pub use rein_telemetry::fnv1a64;
 
 /// A content key: 16 lowercase hex digits of [`fnv1a64`] over the
 /// canonical identity string.

@@ -5,7 +5,7 @@
 //! was actually committed — with the exact bad stretch quarantined and
 //! reported, never repaired in place.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
@@ -25,7 +25,7 @@ fn scratch(name: &str) -> PathBuf {
 /// Commits `n` deterministic cells and returns their (key, payload)
 /// pairs alongside the store root. Rotation is disabled (huge limit) so
 /// the whole journal stays in the tail the tests corrupt.
-fn seeded(root: &PathBuf, n: usize) -> Vec<(String, String)> {
+fn seeded(root: &Path, n: usize) -> Vec<(String, String)> {
     let store = Store::open_with_rotation(root, u64::MAX).expect("open fresh store");
     let mut committed = Vec::new();
     for i in 0..n {
@@ -52,7 +52,7 @@ fn assert_survivors_are_committed(store: &Store, committed: &[(String, String)])
 
 /// The in-memory recovery report and the on-disk structured report must
 /// agree exactly — quarantine is never silent.
-fn assert_quarantine_reported(root: &PathBuf, store: &Store) {
+fn assert_quarantine_reported(root: &Path, store: &Store) {
     let recovered = &store.recovery().quarantined;
     if recovered.is_empty() {
         return;

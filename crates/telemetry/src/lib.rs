@@ -81,6 +81,21 @@ pub use trace::{
     TraceForest, TraceNode,
 };
 
+/// FNV-1a 64-bit over `bytes`: the workspace's one content hash. It is
+/// tiny, dependency free and byte-stable across platforms; ledger
+/// content keys, cell keys, store checksums, guard budget jitter and
+/// flamegraph colours all use it. Not collision resistant.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = OFFSET;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(PRIME);
+    }
+    h
+}
+
 /// Clears all recorded spans, metric values (counters reset to zero,
 /// histograms emptied) and failure records. Intended for tests and for
 /// binaries that run several independent experiments in one process.

@@ -287,19 +287,9 @@ impl Frame {
     }
 }
 
-/// FNV-1a-64 over a frame name, for deterministic coloring.
-fn name_hash(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Deterministic warm fill color for a frame name.
 fn frame_color(name: &str) -> String {
-    let h = name_hash(name);
+    let h = crate::fnv1a64(name.as_bytes());
     let r = 205 + (h % 50) as u8;
     let g = 90 + ((h >> 8) % 120) as u8;
     let b = ((h >> 16) % 60) as u8;

@@ -1,33 +1,21 @@
 #!/usr/bin/env bash
-# Local mirror of .github/workflows/ci.yml — run before pushing.
+# The whole CI gate; .github/workflows/ci.yml runs it and uploads the
+# artifacts it leaves. Run it before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q (REIN_THREADS=1)"
+echo "==> cargo test -q (whole workspace via default-members, REIN_THREADS=1)"
 REIN_THREADS=1 cargo test -q
 
-echo "==> cargo test -q (REIN_THREADS=4)"
+echo "==> cargo test -q (whole workspace via default-members, REIN_THREADS=4)"
 REIN_THREADS=4 cargo test -q
 
 echo "==> cargo run -p rein-audit (determinism & integrity audit, semantic rules + SARIF, stale suppressions blocking)"
 cargo run -q -p rein-audit -- --quiet --deny-stale --sarif artifacts/audit/report.sarif
 
-echo "==> ledger report (ingest committed artifacts; must be a deterministic no-op twice)"
-cargo run -q --release -p rein-ledger --bin rein_report -- --out artifacts/ledger \
-  --diff artifacts/telemetry/chaos_smoke-29.json artifacts/telemetry/fig5_repair_numerical-61.json
-first_sum=$(sha256sum artifacts/ledger/index.json artifacts/ledger/report.md artifacts/ledger/report.html)
-cargo run -q --release -p rein-ledger --bin rein_report -- --out artifacts/ledger \
-  --diff artifacts/telemetry/chaos_smoke-29.json artifacts/telemetry/fig5_repair_numerical-61.json
-second_sum=$(sha256sum artifacts/ledger/index.json artifacts/ledger/report.md artifacts/ledger/report.html)
-if [ "$first_sum" != "$second_sum" ]; then
-  echo "ledger outputs changed between two identical runs:"
-  echo "$first_sum"
-  echo "$second_sum"
-  exit 1
-fi
 echo "==> perf smoke (comparator self-test + small-scale suite vs committed baseline, report-only)"
 cargo run -q --release -p rein-bench --bin bench_compare -- --self-test
 REIN_SCALE=0.01 cargo run -q --release -p rein-bench --bin perf_baseline -- \
@@ -38,20 +26,20 @@ REIN_SCALE=0.01 cargo run -q --release -p rein-bench --bin perf_baseline -- \
 cargo run -q --release -p rein-bench --bin bench_compare -- \
   BENCH_0.json artifacts/perf/BENCH_ci.json --report-only
 
-echo "==> chaos smoke at REIN_THREADS=1 and 4 (exit 3 = degraded-as-injected)"
-# chaos_smoke exits 3 by design: the injected cells *did* degrade and the
+echo "==> grid smoke --mode chaos at REIN_THREADS=1 and 4 (exit 3 = degraded-as-injected)"
+# Chaos mode exits 3 by design: the injected cells *did* degrade and the
 # manifest records them. 4 = a non-injected cell diverged, 5 = wrong
 # failure set, anything else = crash or bad environment. Running it at
 # two pool widths and hashing the fault-free cell dumps proves the grid
 # is worker-count invariant in the serial/parallel dimension too.
 for threads in 1 4; do
   set +e
-  REIN_SCALE=0.05 REIN_THREADS=$threads cargo run -q --release -p rein-bench --bin chaos_smoke -- \
-    --dump-cells "artifacts/chaos/cells-t$threads.txt"
+  REIN_SCALE=0.05 REIN_THREADS=$threads cargo run -q --release -p rein-bench --bin grid_smoke -- \
+    --mode chaos --dump-cells "artifacts/chaos/cells-t$threads.txt"
   chaos_exit=$?
   set -e
   if [ "$chaos_exit" -ne 3 ]; then
-    echo "chaos_smoke (REIN_THREADS=$threads) exited $chaos_exit (expected 3: degraded run with recorded failures)"
+    echo "grid_smoke --mode chaos (REIN_THREADS=$threads) exited $chaos_exit (expected 3: degraded run with recorded failures)"
     exit 1
   fi
 done
@@ -63,18 +51,18 @@ if [ "$serial_sum" != "$parallel_sum" ]; then
 fi
 echo "grid dumps byte-identical across REIN_THREADS=1/4 (sha256 $serial_sum)"
 
-echo "==> crash smoke at REIN_THREADS=1 and 4 (kill-resume byte-identity, quarantine recovery, warm-store hit rate)"
-# crash_smoke is self-asserting: it kills a store-backed grid at every
+echo "==> grid smoke --mode crash at REIN_THREADS=1 and 4 (kill-resume byte-identity, quarantine recovery, warm-store hit rate)"
+# Crash mode is self-asserting: it kills a store-backed grid at every
 # REIN_CRASH commit point, resumes from the journal, flips a journal
 # byte to force quarantine recovery, and requires the warm store to
 # serve >=90% of cells — every dump byte-compared against a store-less
 # reference. Exit 0 is the only pass; set -e gates the rest.
 for threads in 1 4; do
-  REIN_SCALE=0.05 REIN_THREADS=$threads cargo run -q --release -p rein-bench --bin crash_smoke
+  REIN_SCALE=0.05 REIN_THREADS=$threads cargo run -q --release -p rein-bench --bin grid_smoke -- --mode crash
 done
 
-echo "==> parallel smoke (S1-S5 grid byte-identity at 1/4/N threads, in-process)"
-REIN_SCALE=0.05 cargo run -q --release -p rein-bench --bin parallel_smoke
+echo "==> grid smoke --mode parallel (S1-S5 grid byte-identity at 1/4/N threads, in-process)"
+REIN_SCALE=0.05 cargo run -q --release -p rein-bench --bin grid_smoke -- --mode parallel
 
 echo "==> trace exports from the smoke manifests (double run must be byte-identical; ledger must register)"
 # The smoke runs above rewrote their manifests; render the causal trace
@@ -99,6 +87,22 @@ fi
 echo "trace exports byte-identical across a double run"
 if ! grep -q '"kind": "trace_export"' artifacts/ledger/index.json; then
   echo "ledger index carries no trace_export entries after rein_trace"
+  exit 1
+fi
+
+echo "==> ledger report (ingest this run's artifacts; must be a deterministic no-op twice)"
+# Runs after the smokes and trace exports, so the report covers the
+# manifests and trace_export entries this run just wrote.
+cargo run -q --release -p rein-ledger --bin rein_report -- --out artifacts/ledger \
+  --diff artifacts/telemetry/chaos_smoke-29.json artifacts/telemetry/fig5_repair_numerical-61.json
+first_sum=$(sha256sum artifacts/ledger/index.json artifacts/ledger/report.md artifacts/ledger/report.html)
+cargo run -q --release -p rein-ledger --bin rein_report -- --out artifacts/ledger \
+  --diff artifacts/telemetry/chaos_smoke-29.json artifacts/telemetry/fig5_repair_numerical-61.json
+second_sum=$(sha256sum artifacts/ledger/index.json artifacts/ledger/report.md artifacts/ledger/report.html)
+if [ "$first_sum" != "$second_sum" ]; then
+  echo "ledger outputs changed between two identical runs:"
+  echo "$first_sum"
+  echo "$second_sum"
   exit 1
 fi
 
