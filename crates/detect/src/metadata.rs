@@ -63,7 +63,8 @@ impl Detector for MetadataDriven {
         let flagged: Vec<usize> = (0..n_cells)
             .filter(|&i| verdicts.iter().any(|v| v.get(i / t.n_cols(), i % t.n_cols())))
             .collect();
-        let unflagged: Vec<usize> = (0..n_cells).filter(|&i| !flagged.contains(&i)).collect();
+        let unflagged: Vec<usize> =
+            (0..n_cells).filter(|&i| flagged.binary_search(&i).is_err()).collect();
         let budget = ctx.labeling_budget.max(8).min(n_cells);
         let mut sample: Vec<usize> = Vec::with_capacity(budget);
         let half = budget / 2;

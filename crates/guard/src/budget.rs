@@ -11,10 +11,13 @@
 //! failure.
 //!
 //! The budget is cooperative by design: a kernel that never checkpoints
-//! cannot be interrupted (that is the price of determinism), and worker
-//! threads spawned inside a kernel (e.g. rayon fan-outs) do not see the
-//! installing thread's slot — coverage there is best-effort via the
-//! checkpoints that run on the calling thread.
+//! cannot be interrupted (that is the price of determinism). A guarded
+//! attempt running as an item of a parallel stage (every grid cell)
+//! covers its nested fan-outs too: the vendored rayon runs a stage
+//! started inside a stage's item inline on that thread, so e.g. every
+//! tree of a forest fit debits this slot, at any pool width. Only a
+//! top-level fan-out started by a guard outside any stage runs on fresh
+//! workers that do not see the slot.
 
 use std::cell::Cell;
 

@@ -214,4 +214,49 @@ mod tests {
         m.fit(&Matrix::zeros(0, 2), &[], 2);
         assert_eq!(m.predict(&Matrix::zeros(2, 2)).len(), 2);
     }
+
+    /// The guard's budget verdict on a forest fit run on each worker of
+    /// a `width`-wide pool, with an allowance smaller than one fit.
+    fn guarded_fits(width: usize) -> Vec<rein_guard::FailureCause> {
+        use rein_guard::{GuardPolicy, GuardSpec, Phase};
+        let (x, y) = linear_regression_data(200, 0.5, 79);
+        let policy = GuardPolicy { budget_override: Some(2_000), ..GuardPolicy::default() };
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build().expect("pool");
+        pool.install(|| {
+            (0..width as u64)
+                .into_par_iter()
+                .map(|seed| {
+                    let spec = GuardSpec {
+                        phase: Phase::Repair,
+                        strategy: "forest",
+                        dataset: "unit",
+                        scope: "",
+                        cells: 1,
+                        seed,
+                    };
+                    let fit = |_| {
+                        let params = ForestParams { n_trees: 15, ..Default::default() };
+                        RandomForestRegressor::new(params, 5).fit(&x, &y);
+                    };
+                    let report = rein_guard::run(&spec, &policy, fit, |_| Ok(()), |_| {});
+                    report.outcome.expect_err("the allowance is smaller than one fit").cause
+                })
+                .collect()
+        })
+    }
+
+    #[test]
+    fn budget_sees_every_tree_on_a_pool_worker() {
+        // The trees of a fit on a pool worker run inline on that worker,
+        // so the budget installed there debits each tree's checkpoints
+        // and trips at the same tick as on a one-wide pool.
+        let serial = guarded_fits(1);
+        assert!(
+            matches!(serial[0], rein_guard::FailureCause::BudgetExhausted { allowance: 2_000, .. }),
+            "{:?}",
+            serial[0]
+        );
+        let wide = guarded_fits(4);
+        assert!(wide.iter().all(|cause| *cause == serial[0]), "{wide:?} vs {:?}", serial[0]);
+    }
 }

@@ -6,8 +6,10 @@
 //! propose corrections; their votes are combined with weights learned from
 //! a small set of labelled corrections (the "Labels" signal of Table 1,
 //! simulated from the ground truth, standing in for Wikipedia revision
-//! data).
+//! data). Each column's candidate evidence and each detected cell's
+//! evidence are built once, before any candidate is scored.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use rand::prelude::*;
@@ -29,31 +31,72 @@ impl Default for Baran {
     }
 }
 
-/// Character-trigram similarity (the value model's transformation proxy).
-fn trigram_sim(a: &str, b: &str) -> f64 {
-    let grams = |s: &str| -> std::collections::BTreeSet<String> {
-        let lower = s.to_lowercase();
-        let cs: Vec<char> = lower.chars().collect();
-        if cs.len() < 3 {
-            return [lower].into_iter().collect();
-        }
-        cs.windows(3).map(|w| w.iter().collect()).collect()
-    };
-    let ga = grams(a);
-    let gb = grams(b);
-    if ga.is_empty() && gb.is_empty() {
-        return 1.0;
+/// One character trigram of a lowercased spelling: its length (3, or
+/// less for a spelling shorter than three characters, which is its own
+/// single gram) and its characters, zero-padded. Two grams are equal
+/// exactly when their strings are.
+type Gram = (u8, [char; 3]);
+
+/// The value model's transformation proxy: the sorted, deduplicated
+/// character trigrams of `s`, lowercased.
+fn trigrams(s: &str) -> Vec<Gram> {
+    let cs: Vec<char> = s.to_lowercase().chars().collect();
+    if cs.len() < 3 {
+        let mut gram = ['\0'; 3];
+        gram[..cs.len()].copy_from_slice(&cs);
+        return vec![(cs.len() as u8, gram)];
     }
-    let inter = ga.intersection(&gb).count();
-    inter as f64 / (ga.len() + gb.len() - inter).max(1) as f64
+    let mut grams: Vec<Gram> = cs.windows(3).map(|w| (3, [w[0], w[1], w[2]])).collect();
+    grams.sort_unstable();
+    grams.dedup();
+    grams
+}
+
+/// Jaccard similarity of two trigram sets from [`trigrams`].
+fn trigram_sim(a: &[Gram], b: &[Gram]) -> f64 {
+    let (mut i, mut j, mut inter) = (0, 0, 0usize);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                inter += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    inter as f64 / (a.len() + b.len() - inter).max(1) as f64
+}
+
+/// A candidate correction's evidence, built once per column (and once
+/// per labelled truth).
+struct Candidate {
+    /// The vicinity model's vote key.
+    key: String,
+    /// The value model's trigrams of the candidate's spelling.
+    grams: Vec<Gram>,
+    /// The domain model's score: the frequency of the first `==`-equal
+    /// domain value, 0 when there is none.
+    freq: f64,
 }
 
 /// Per-column evidence shared by all candidate models.
 struct ColumnModels {
     /// Candidate domain: trusted values with relative frequencies.
     domain: Vec<(Value, f64)>,
-    /// vicinity: (other_col, other_value_key) -> value votes.
-    vicinity: BTreeMap<(usize, String), BTreeMap<String, f64>>,
+    /// The evidence of each `domain` value, in the same order.
+    candidates: Vec<Candidate>,
+    /// vicinity: other_col -> other_value_key -> value votes.
+    vicinity: Vec<BTreeMap<String, BTreeMap<String, f64>>>,
+}
+
+/// A detected cell's evidence, built once per cell: the trigrams of its
+/// erroneous spelling and the vote maps of its trusted anchors, in
+/// column order.
+struct CellEvidence<'m> {
+    grams: Vec<Gram>,
+    anchors: Vec<&'m BTreeMap<String, f64>>,
 }
 
 fn build_models(t: &Table, det: &CellMask, col: usize) -> ColumnModels {
@@ -70,8 +113,9 @@ fn build_models(t: &Table, det: &CellMask, col: usize) -> ColumnModels {
     domain.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.total_cmp(&b.0)));
     domain.truncate(64);
 
-    let mut vicinity: BTreeMap<(usize, String), BTreeMap<String, f64>> = BTreeMap::new();
-    for other in 0..t.n_cols() {
+    let mut vicinity: Vec<BTreeMap<String, BTreeMap<String, f64>>> =
+        vec![BTreeMap::new(); t.n_cols()];
+    for (other, by_anchor) in vicinity.iter_mut().enumerate() {
         if other == col {
             continue;
         }
@@ -80,56 +124,60 @@ fn build_models(t: &Table, det: &CellMask, col: usize) -> ColumnModels {
             if anchor.is_null() || det.get(r, other) {
                 continue;
             }
-            let entry = vicinity.entry((other, anchor.as_key().into_owned())).or_default();
+            let entry = by_anchor.entry(anchor.as_key().into_owned()).or_default();
             *entry.entry(t.cell(r, col).as_key().into_owned()).or_insert(0.0) += 1.0;
         }
     }
     // Normalise vicinity votes per anchor.
-    for votes in vicinity.values_mut() {
+    for votes in vicinity.iter_mut().flat_map(BTreeMap::values_mut) {
         let s: f64 = votes.values().sum();
         if s > 0.0 {
             votes.values_mut().for_each(|v| *v /= s);
         }
     }
-    ColumnModels { domain, vicinity }
+    let candidates = domain.iter().map(|(v, _)| candidate(&domain, v)).collect();
+    ColumnModels { domain, candidates, vicinity }
 }
 
-/// Per-model score of `candidate` for cell `(row, col)`.
-fn model_scores(
-    t: &Table,
-    det: &CellMask,
-    models: &ColumnModels,
-    row: usize,
-    col: usize,
-    candidate: &Value,
-) -> [f64; 3] {
-    let error = t.cell(row, col).to_string();
-    let cand_key = candidate.as_key().into_owned();
+/// The evidence of candidate `value`, in or outside `domain`.
+fn candidate(domain: &[(Value, f64)], value: &Value) -> Candidate {
+    Candidate {
+        key: value.as_key().into_owned(),
+        grams: trigrams(&value.to_string()),
+        freq: domain.iter().find(|(v, _)| v == value).map_or(0.0, |(_, f)| *f),
+    }
+}
+
+impl ColumnModels {
+    /// The evidence of detected cell `(row, col)`.
+    fn evidence(&self, t: &Table, det: &CellMask, row: usize, col: usize) -> CellEvidence<'_> {
+        let anchors = (0..t.n_cols())
+            .filter(|&other| other != col && !det.get(row, other))
+            .filter_map(|other| {
+                let anchor = t.cell(row, other);
+                if anchor.is_null() {
+                    return None;
+                }
+                self.vicinity[other].get(anchor.as_key().as_ref())
+            })
+            .collect();
+        CellEvidence { grams: trigrams(&t.cell(row, col).to_string()), anchors }
+    }
+}
+
+/// Per-model score of `candidate` for the cell behind `cell`.
+fn model_scores(cell: &CellEvidence<'_>, candidate: &Candidate) -> [f64; 3] {
     // Value model: similarity of candidate to the erroneous spelling.
-    let value_score = trigram_sim(&error, &candidate.to_string());
+    let value_score = trigram_sim(&cell.grams, &candidate.grams);
     // Vicinity model: co-occurrence votes from the row's trusted attributes.
     let mut vicinity_score = 0.0;
-    let mut anchors = 0usize;
-    for other in 0..t.n_cols() {
-        if other == col || det.get(row, other) {
-            continue;
-        }
-        let anchor = t.cell(row, other);
-        if anchor.is_null() {
-            continue;
-        }
-        if let Some(votes) = models.vicinity.get(&(other, anchor.as_key().into_owned())) {
-            vicinity_score += votes.get(&cand_key).copied().unwrap_or(0.0);
-            anchors += 1;
-        }
+    for votes in &cell.anchors {
+        vicinity_score += votes.get(&candidate.key).copied().unwrap_or(0.0);
     }
-    if anchors > 0 {
-        vicinity_score /= anchors as f64;
+    if !cell.anchors.is_empty() {
+        vicinity_score /= cell.anchors.len() as f64;
     }
-    // Domain model: candidate frequency.
-    let domain_score =
-        models.domain.iter().find(|(v, _)| v == candidate).map(|(_, f)| *f).unwrap_or(0.0);
-    [value_score, vicinity_score, domain_score]
+    [value_score, vicinity_score, candidate.freq]
 }
 
 impl Repairer for Baran {
@@ -164,15 +212,17 @@ impl Repairer for Baran {
                 let truth = clean.cell(cell.row, cell.col);
                 let Some(models) = per_column_models.get(&cell.col) else { continue };
                 // Which model ranks the truth highest among domain cands?
+                let evidence = models.evidence(t, det, cell.row, cell.col);
+                let truth_scores = model_scores(&evidence, &candidate(&models.domain, truth));
+                let best_other = models
+                    .domain
+                    .iter()
+                    .zip(&models.candidates)
+                    .filter(|((v, _), _)| v != truth)
+                    .map(|(_, c)| model_scores(&evidence, c))
+                    .fold([0.0; 3], |best, s| std::array::from_fn(|m| f64::max(best[m], s[m])));
                 for (m, hit) in hits.iter_mut().enumerate() {
-                    let truth_score = model_scores(t, det, models, cell.row, cell.col, truth)[m];
-                    let best_other = models
-                        .domain
-                        .iter()
-                        .filter(|(v, _)| v != truth)
-                        .map(|(v, _)| model_scores(t, det, models, cell.row, cell.col, v)[m])
-                        .fold(0.0, f64::max);
-                    if truth_score > best_other {
+                    if truth_scores[m] > best_other[m] {
                         *hit += 1.0;
                     }
                 }
@@ -186,9 +236,10 @@ impl Repairer for Baran {
         for cell in det.iter() {
             rein_guard::checkpoint(1);
             let Some(models) = per_column_models.get(&cell.col) else { continue };
+            let evidence = models.evidence(t, det, cell.row, cell.col);
             let mut best: Option<(&Value, f64)> = None;
-            for (cand, _) in &models.domain {
-                let s = model_scores(t, det, models, cell.row, cell.col, cand);
+            for ((cand, _), cand_evidence) in models.domain.iter().zip(&models.candidates) {
+                let s = model_scores(&evidence, cand_evidence);
                 let combined = (weights[0] * s[0] + weights[1] * s[1] + weights[2] * s[2]) / 3.0;
                 if best.is_none_or(|(_, b)| combined > b) {
                     best = Some((cand, combined));

@@ -250,8 +250,8 @@ impl Repairer for MlImputer {
                     let xs = select_matrix_rows(&x, &tr_rows);
                     let mut model = self.build_regressor(ctx.seed);
                     model.fit(&xs, &tr_y);
-                    for (local, &row) in predict_rows.iter().enumerate() {
-                        let pred = model.predict(&xp)[local];
+                    let preds = model.predict(&xp);
+                    for (&row, &pred) in predict_rows.iter().zip(&preds) {
                         working.set_cell(row, col, Value::float(pred));
                         repaired.set(row, col, true);
                     }

@@ -1,9 +1,11 @@
 //! Hierarchical wall-clock spans.
 //!
 //! Each thread keeps a stack of open spans; [`span`] parents a new span
-//! under the top of the current thread's stack. Rayon fan-out runs
-//! closures on worker threads whose stacks start empty, so parallel code
-//! captures the parent context first and opens children explicitly:
+//! under the top of the current thread's stack. A top-level rayon stage
+//! runs closures on worker threads whose stacks start empty, so parallel
+//! code captures the parent context first and opens children explicitly
+//! (a stage nested inside a worker's item runs inline on that worker and
+//! sees its stack):
 //!
 //! ```ignore
 //! let parent = rein_telemetry::current();

@@ -13,6 +13,9 @@ REIN_THREADS=1 cargo test -q
 echo "==> cargo test -q (whole workspace via default-members, REIN_THREADS=4)"
 REIN_THREADS=4 cargo test -q
 
+echo "==> benchmark package tests (its own workspace: a kernel change must not break its build)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml --bins
+
 echo "==> cargo run -p rein-audit (determinism & integrity audit, semantic rules + SARIF, stale suppressions blocking)"
 cargo run -q -p rein-audit -- --quiet --deny-stale --sarif artifacts/audit/report.sarif
 
@@ -111,5 +114,8 @@ cargo fmt --check
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
+
+echo "==> cargo clippy on the benchmark package -- -D warnings"
+cargo clippy --offline --manifest-path benchmark/Cargo.toml --bins --tests -- -D warnings
 
 echo "CI checks passed."

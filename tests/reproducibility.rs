@@ -51,13 +51,60 @@ fn detection_is_deterministic() {
     }
 }
 
+/// Repairers whose outputs are pinned across commits in [`PINNED_REPAIRS`].
+const PINNED_KINDS: [RepairKind; 3] = [RepairKind::Baran, RepairKind::MissMix, RepairKind::KnnMiss];
+
+/// FNV-1a-64 of each repaired table's `csv::write_str`, per dataset,
+/// size factor and seed, in [`PINNED_KINDS`] order, on the ground-truth
+/// mask. Beers and Breast-Cancer both inject typos, so BARAN's value
+/// model is exercised. A kernel optimisation must leave
+/// every digest unchanged; a deliberate behaviour change re-records them.
+const PINNED_REPAIRS: [(DatasetId, f64, u64, [u64; 3]); 4] = [
+    (
+        DatasetId::Beers,
+        0.1,
+        4,
+        [0xaa44_4536_dcd7_cabc, 0x06b0_2da3_d6fe_50e1, 0x61a1_5f9b_65b8_8605],
+    ),
+    (
+        DatasetId::Beers,
+        0.1,
+        5,
+        [0x6ec6_6281_2c08_6e8b, 0x8f14_4977_e6a2_7fb4, 0xb22d_2460_fb7a_484b],
+    ),
+    (
+        DatasetId::BreastCancer,
+        0.3,
+        4,
+        [0x6843_3ea7_0ea4_8877, 0xbbd6_cf88_5e5f_9006, 0x7682_3382_4602_9e42],
+    ),
+    (
+        DatasetId::BreastCancer,
+        0.3,
+        5,
+        [0x504c_92c7_5173_ace0, 0x9107_1054_9783_4d6b, 0x004d_4c91_409e_2b9c],
+    ),
+];
+
 #[test]
 fn repair_is_deterministic() {
-    let ds = DatasetId::Beers.generate(&Params::scaled(0.1, 4));
-    for kind in [RepairKind::MissMix, RepairKind::Baran, RepairKind::HoloClean] {
-        let run = || run_repair(&ds, &ds.mask, kind, 7).version.expect("generic repair").table;
-        assert_eq!(run(), run(), "{}", kind.name());
+    use rein::data::csv;
+    use rein_telemetry::fnv1a64;
+    for (id, size, seed, digests) in PINNED_REPAIRS {
+        let ds = id.generate(&Params::scaled(size, seed));
+        for (kind, digest) in PINNED_KINDS.into_iter().zip(digests) {
+            let run = || run_repair(&ds, &ds.mask, kind, 7).version.expect("generic repair").table;
+            let table = run();
+            assert_eq!(table, run(), "{} on {} seed {seed}", kind.name(), id.name());
+            let got = fnv1a64(csv::write_str(&table).as_bytes());
+            assert_eq!(got, digest, "{} on {} seed {seed}: {got:#018x}", kind.name(), id.name());
+        }
     }
+    let ds = DatasetId::Beers.generate(&Params::scaled(0.1, 4));
+    let run = || {
+        run_repair(&ds, &ds.mask, RepairKind::HoloClean, 7).version.expect("generic repair").table
+    };
+    assert_eq!(run(), run(), "holoclean");
 }
 
 #[test]
