@@ -89,8 +89,7 @@ impl Classifier for AdaBoostClassifier {
             .map(|r| {
                 let mut scores = vec![0.0; self.n_classes];
                 for (stump, alpha) in &self.learners {
-                    let p = stump.proba_row(x.row(r));
-                    scores[crate::linalg::argmax(&p)] += alpha;
+                    scores[crate::linalg::argmax(stump.proba_row(x.row(r)))] += alpha;
                 }
                 crate::linalg::argmax(&scores)
             })

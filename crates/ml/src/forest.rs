@@ -86,8 +86,7 @@ impl Classifier for RandomForestClassifier {
         }
         for t in &self.trees {
             for r in 0..x.rows() {
-                let p = t.proba_row(x.row(r));
-                for (o, &v) in out.row_mut(r).iter_mut().zip(p.iter()) {
+                for (o, &v) in out.row_mut(r).iter_mut().zip(t.proba_row(x.row(r))) {
                     *o += v;
                 }
             }

@@ -75,6 +75,11 @@ impl Matrix {
         &self.data
     }
 
+    /// The underlying flat buffer, mutably.
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);

@@ -72,117 +72,126 @@ impl Net {
         }
     }
 
-    /// Forward pass for one sample: returns (hidden activations, outputs).
-    fn forward(&self, xr: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let h = self.b1.len();
-        let out = self.b2.len();
-        let mut hidden = self.b1.clone();
+    /// Zeroed buffers for one sample's hidden activations and outputs.
+    fn buffers(&self) -> (Vec<f64>, Vec<f64>) {
+        (vec![0.0; self.b1.len()], vec![0.0; self.b2.len()])
+    }
+
+    /// Forward pass for one sample into `hidden` (after the ReLU) and
+    /// `output`.
+    fn forward(&self, xr: &[f64], hidden: &mut [f64], output: &mut [f64]) {
+        hidden.copy_from_slice(&self.b1);
         for (f, &xv) in xr.iter().enumerate() {
             if xv == 0.0 {
                 continue;
             }
-            for (hv, c) in hidden.iter_mut().zip(0..h) {
-                *hv += xv * self.w1[(f, c)];
+            for (hv, &w) in hidden.iter_mut().zip(self.w1.row(f)) {
+                *hv += xv * w;
             }
         }
-        for hv in &mut hidden {
+        for hv in hidden.iter_mut() {
             *hv = hv.max(0.0); // ReLU
         }
-        let mut output = self.b2.clone();
+        output.copy_from_slice(&self.b2);
         for (j, &hv) in hidden.iter().enumerate() {
             if hv == 0.0 {
                 continue;
             }
-            for (ov, c) in output.iter_mut().zip(0..out) {
-                *ov += hv * self.w2[(j, c)];
+            for (ov, &w) in output.iter_mut().zip(self.w2.row(j)) {
+                *ov += hv * w;
             }
         }
-        (hidden, output)
     }
 
-    /// One SGD step on a batch given per-sample output-layer errors
-    /// (dL/dz of the output pre-activations).
-    #[allow(clippy::too_many_arguments)]
-    fn step(
-        &mut self,
-        x: &Matrix,
-        batch: &[usize],
-        errors: &[Vec<f64>],
-        hiddens: &[Vec<f64>],
-        lr: f64,
-        momentum: f64,
-    ) {
-        let d = self.w1.rows();
+    /// One SGD step on a batch from the per-sample output-layer errors
+    /// (dL/dz of the output pre-activations) and hidden activations in
+    /// `s`, in batch order.
+    fn step(&mut self, x: &Matrix, batch: &[usize], s: &mut FitBuffers, lr: f64, momentum: f64) {
         let h = self.b1.len();
         let out = self.b2.len();
         let scale = lr / batch.len().max(1) as f64;
-
-        let mut g_w2 = Matrix::zeros(h, out);
-        let mut g_b2 = vec![0.0; out];
-        let mut g_w1 = Matrix::zeros(d, h);
-        let mut g_b1 = vec![0.0; h];
+        s.g_w1.as_mut_slice().fill(0.0);
+        s.g_b1.fill(0.0);
+        s.g_w2.as_mut_slice().fill(0.0);
+        s.g_b2.fill(0.0);
 
         for (bi, &i) in batch.iter().enumerate() {
-            let err = &errors[bi];
-            let hid = &hiddens[bi];
+            let err = &s.errors[bi * out..(bi + 1) * out];
+            let hid = &s.hiddens[bi * h..(bi + 1) * h];
             for (j, &hv) in hid.iter().enumerate() {
                 if hv > 0.0 {
-                    for (c, &e) in err.iter().enumerate() {
-                        g_w2[(j, c)] += hv * e;
+                    for (g, &e) in s.g_w2.row_mut(j).iter_mut().zip(err) {
+                        *g += hv * e;
                     }
                 }
             }
-            for (c, &e) in err.iter().enumerate() {
-                g_b2[c] += e;
+            for (g, &e) in s.g_b2.iter_mut().zip(err) {
+                *g += e;
             }
             // Backprop into hidden.
-            let mut hid_err = vec![0.0; h];
-            for (j, he) in hid_err.iter_mut().enumerate() {
+            for (j, he) in s.hid_err.iter_mut().enumerate() {
+                *he = 0.0;
                 if hid[j] > 0.0 {
-                    for (c, &e) in err.iter().enumerate() {
-                        *he += e * self.w2[(j, c)];
+                    for (&e, &w) in err.iter().zip(self.w2.row(j)) {
+                        *he += e * w;
                     }
                 }
             }
-            let xr = x.row(i);
-            for (f, &xv) in xr.iter().enumerate() {
+            for (f, &xv) in x.row(i).iter().enumerate() {
                 if xv == 0.0 {
                     continue;
                 }
-                for (j, &he) in hid_err.iter().enumerate() {
-                    g_w1[(f, j)] += xv * he;
+                for (g, &he) in s.g_w1.row_mut(f).iter_mut().zip(&s.hid_err) {
+                    *g += xv * he;
                 }
             }
-            for (j, &he) in hid_err.iter().enumerate() {
-                g_b1[j] += he;
+            for (g, &he) in s.g_b1.iter_mut().zip(&s.hid_err) {
+                *g += he;
             }
         }
 
-        // Momentum updates.
-        for f in 0..d {
-            for j in 0..h {
-                let v = &mut self.v_w1[(f, j)];
-                *v = momentum * *v - scale * g_w1[(f, j)];
-                self.w1[(f, j)] += *v;
-            }
-        }
-        for j in 0..h {
-            self.v_b1[j] = momentum * self.v_b1[j] - scale * g_b1[j];
-            self.b1[j] += self.v_b1[j];
-            for c in 0..out {
-                let v = &mut self.v_w2[(j, c)];
-                *v = momentum * *v - scale * g_w2[(j, c)];
-                self.w2[(j, c)] += *v;
-            }
-        }
-        for c in 0..out {
-            self.v_b2[c] = momentum * self.v_b2[c] - scale * g_b2[c];
-            self.b2[c] += self.v_b2[c];
-        }
+        momentum_step(
+            self.w1.as_mut_slice(),
+            self.v_w1.as_mut_slice(),
+            s.g_w1.as_slice(),
+            momentum,
+            scale,
+        );
+        momentum_step(&mut self.b1, &mut self.v_b1, &s.g_b1, momentum, scale);
+        momentum_step(
+            self.w2.as_mut_slice(),
+            self.v_w2.as_mut_slice(),
+            s.g_w2.as_slice(),
+            momentum,
+            scale,
+        );
+        momentum_step(&mut self.b2, &mut self.v_b2, &s.g_b2, momentum, scale);
     }
 }
 
-fn train<FErr: FnMut(usize, &[f64]) -> Vec<f64>>(
+/// Momentum update of each weight from its gradient.
+fn momentum_step(w: &mut [f64], v: &mut [f64], g: &[f64], momentum: f64, scale: f64) {
+    for ((w, v), &g) in w.iter_mut().zip(v.iter_mut()).zip(g) {
+        *v = momentum * *v - scale * g;
+        *w += *v;
+    }
+}
+
+/// One fit's buffers, reused by every batch: each sample's hidden
+/// activations and output errors (flat, batch-major), and the gradients.
+struct FitBuffers {
+    hiddens: Vec<f64>,
+    errors: Vec<f64>,
+    hid_err: Vec<f64>,
+    g_w1: Matrix,
+    g_b1: Vec<f64>,
+    g_w2: Matrix,
+    g_b2: Vec<f64>,
+}
+
+/// Trains `net`; `out_error` turns sample `i`'s outputs into its output
+/// errors in place.
+fn train<FErr: FnMut(usize, &mut [f64])>(
     net: &mut Net,
     x: &Matrix,
     params: &MlpParams,
@@ -193,19 +202,30 @@ fn train<FErr: FnMut(usize, &[f64]) -> Vec<f64>>(
     if n == 0 {
         return;
     }
+    let (d, h, out) = (net.w1.rows(), net.b1.len(), net.b2.len());
+    let batch_size = params.batch.max(1);
+    let width = batch_size.min(n);
+    let mut s = FitBuffers {
+        hiddens: vec![0.0; width * h],
+        errors: vec![0.0; width * out],
+        hid_err: vec![0.0; h],
+        g_w1: Matrix::zeros(d, h),
+        g_b1: vec![0.0; h],
+        g_w2: Matrix::zeros(h, out),
+        g_b2: vec![0.0; out],
+    };
     let mut order: Vec<usize> = (0..n).collect();
     for _ in 0..params.epochs {
         rein_guard::checkpoint(n as u64);
         order.shuffle(rng);
-        for batch in order.chunks(params.batch.max(1)) {
-            let mut errors = Vec::with_capacity(batch.len());
-            let mut hiddens = Vec::with_capacity(batch.len());
-            for &i in batch {
-                let (hid, out) = net.forward(x.row(i));
-                errors.push(out_error(i, &out));
-                hiddens.push(hid);
+        for batch in order.chunks(batch_size) {
+            for (bi, &i) in batch.iter().enumerate() {
+                let hidden = &mut s.hiddens[bi * h..(bi + 1) * h];
+                let output = &mut s.errors[bi * out..(bi + 1) * out];
+                net.forward(x.row(i), hidden, output);
+                out_error(i, output);
             }
-            net.step(x, batch, &errors, &hiddens, params.lr, params.momentum);
+            net.step(x, batch, &mut s, params.lr, params.momentum);
         }
     }
 }
@@ -232,18 +252,20 @@ impl Classifier for MlpClassifier {
         let mut net = Net::init(x.cols(), self.params.hidden, self.n_classes, &mut rng);
         let params = self.params.clone();
         train(&mut net, x, &params, &mut rng, |i, out| {
-            let mut probs = out.to_vec();
-            softmax_in_place(&mut probs);
-            (0..probs.len()).map(|c| probs[c] - if y[i] == c { 1.0 } else { 0.0 }).collect()
+            softmax_in_place(out);
+            if let Some(p) = out.get_mut(y[i]) {
+                *p -= 1.0;
+            }
         });
         self.net = Some(net);
     }
 
     fn predict(&self, x: &Matrix) -> Vec<usize> {
         let Some(net) = &self.net else { return vec![0; x.rows()] };
+        let (mut hidden, mut out) = net.buffers();
         (0..x.rows())
             .map(|r| {
-                let (_, out) = net.forward(x.row(r));
+                net.forward(x.row(r), &mut hidden, &mut out);
                 crate::linalg::argmax(&out)
             })
             .collect()
@@ -252,8 +274,9 @@ impl Classifier for MlpClassifier {
     fn predict_proba(&self, x: &Matrix, n_classes: usize) -> Matrix {
         let mut p = Matrix::zeros(x.rows(), n_classes);
         let Some(net) = &self.net else { return p };
+        let (mut hidden, mut out) = net.buffers();
         for r in 0..x.rows() {
-            let (_, mut out) = net.forward(x.row(r));
+            net.forward(x.row(r), &mut hidden, &mut out);
             softmax_in_place(&mut out);
             let w = out.len().min(n_classes);
             p.row_mut(r)[..w].copy_from_slice(&out[..w]);
@@ -295,15 +318,16 @@ impl Regressor for MlpRegressor {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut net = Net::init(x.cols(), self.params.hidden, 1, &mut rng);
         let params = self.params.clone();
-        train(&mut net, x, &params, &mut rng, |i, out| vec![out[0] - ys[i]]);
+        train(&mut net, x, &params, &mut rng, |i, out| out[0] -= ys[i]);
         self.net = Some(net);
     }
 
     fn predict(&self, x: &Matrix) -> Vec<f64> {
         let Some(net) = &self.net else { return vec![0.0; x.rows()] };
+        let (mut hidden, mut out) = net.buffers();
         (0..x.rows())
             .map(|r| {
-                let (_, out) = net.forward(x.row(r));
+                net.forward(x.row(r), &mut hidden, &mut out);
                 self.y_shift + self.y_scale * out[0]
             })
             .collect()
@@ -358,6 +382,59 @@ mod tests {
         let p = m.predict_proba(&x, 2);
         for r in 0..p.rows() {
             assert!((p.row(r).iter().sum::<f64>() - 1.0).abs() < 1e-9);
+        }
+    }
+
+    /// `n` sparse rows: three one-hot groups of four columns and one
+    /// numeric column, with class labels in `0..n_classes` and a numeric
+    /// target.
+    fn one_hot_fixture(n: usize, n_classes: usize, seed: u64) -> (Matrix, Vec<usize>, Vec<f64>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut x = Matrix::zeros(n, 13);
+        let mut y = Vec::with_capacity(n);
+        let mut t = Vec::with_capacity(n);
+        for r in 0..n {
+            for g in 0..3 {
+                x[(r, g * 4 + rng.random_range(0..4usize))] = 1.0;
+            }
+            x[(r, 12)] = randn(&mut rng);
+            y.push(rng.random_range(0..n_classes));
+            t.push(2.0 * x[(r, 12)] + x[(r, 0)] + 0.1 * randn(&mut rng));
+        }
+        (x, y, t)
+    }
+
+    fn bits_digest(values: &[f64]) -> u64 {
+        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
+        rein_telemetry::fnv1a64(&bytes)
+    }
+
+    /// `(rows, classes, classifier digest, regressor digest)`: FNV-1a-64
+    /// of the bits of `predict_proba` and of the regressor's `predict` on
+    /// [`one_hot_fixture`], with DataWig's parameters (batch 32). A kernel
+    /// optimisation must leave every digest unchanged.
+    const PINNED: [(usize, usize, u64, u64); 3] = [
+        // One batch, smaller than the batch size.
+        (20, 3, 0x793f_557f_b989_2fd2, 0x8f7f_2259_125c_8020),
+        // Two full batches and a partial one.
+        (77, 4, 0xd6f4_ab25_650f_5da5, 0xbebf_6e57_56c8_85f7),
+        // More classes than rows.
+        (6, 9, 0xba3d_ec92_9f32_466b, 0x7169_a6df_c6e9_0317),
+    ];
+
+    #[test]
+    fn predictions_are_pinned() {
+        for (n, k, clf_digest, reg_digest) in PINNED {
+            let (x, y, t) = one_hot_fixture(n, k, n as u64);
+            let params = MlpParams { epochs: 30, hidden: 24, ..Default::default() };
+            let mut clf = MlpClassifier::new(params.clone(), 3);
+            clf.fit(&x, &y, k);
+            let got = bits_digest(clf.predict_proba(&x, k).as_slice());
+            assert_eq!(got, clf_digest, "classifier, {n} rows, {k} classes: {got:#018x}");
+            let mut reg = MlpRegressor::new(params, 3);
+            reg.fit(&x, &t);
+            let got = bits_digest(&reg.predict(&x));
+            assert_eq!(got, reg_digest, "regressor, {n} rows: {got:#018x}");
         }
     }
 

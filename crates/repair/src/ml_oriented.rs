@@ -154,8 +154,7 @@ impl Classifier for BoostEnsemble {
             .map(|r| {
                 let mut scores = vec![0.0; self.n_classes];
                 for (tree, alpha) in &self.learners {
-                    let p = tree.proba_row(x.row(r));
-                    scores[rein_ml::linalg::argmax(&p)] += alpha;
+                    scores[rein_ml::linalg::argmax(tree.proba_row(x.row(r)))] += alpha;
                 }
                 rein_ml::linalg::argmax(&scores)
             })

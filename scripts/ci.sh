@@ -53,6 +53,16 @@ if [ "$serial_sum" != "$parallel_sum" ]; then
   exit 1
 fi
 echo "grid dumps byte-identical across REIN_THREADS=1/4 (sha256 $serial_sum)"
+# The bytes are also pinned across commits: a kernel change that moves
+# them alike at every width fails here. A change that moves them on
+# purpose updates CHAOS_CELLS_SHA256 / PARALLEL_CELLS_SHA256 and says why
+# in CHANGES.md.
+CHAOS_CELLS_SHA256=710580a8a13e5b31ec3e79bf38643ea845d0f6d8123a593a6b4d7431d83991e6
+PARALLEL_CELLS_SHA256=dd666767fcdbf19a942616b2a01b8c194bd9348f6f34fc0ce0e9e7c577eb5c5a
+if [ "$serial_sum" != "$CHAOS_CELLS_SHA256" ]; then
+  echo "chaos grid dump sha256 $serial_sum, pinned $CHAOS_CELLS_SHA256"
+  exit 1
+fi
 
 echo "==> grid smoke --mode crash at REIN_THREADS=1 and 4 (kill-resume byte-identity, quarantine recovery, warm-store hit rate)"
 # Crash mode is self-asserting: it kills a store-backed grid at every
@@ -64,8 +74,15 @@ for threads in 1 4; do
   REIN_SCALE=0.05 REIN_THREADS=$threads cargo run -q --release -p rein-bench --bin grid_smoke -- --mode crash
 done
 
-echo "==> grid smoke --mode parallel (S1-S5 grid byte-identity at 1/4/N threads, in-process)"
-REIN_SCALE=0.05 cargo run -q --release -p rein-bench --bin grid_smoke -- --mode parallel
+echo "==> grid smoke --mode parallel (S1-S5 grid byte-identity at 1/4/N threads, in-process; bytes pinned)"
+REIN_SCALE=0.05 cargo run -q --release -p rein-bench --bin grid_smoke -- --mode parallel \
+  --dump-cells artifacts/chaos/cells-parallel.txt
+parallel_cells_sum=$(sha256sum artifacts/chaos/cells-parallel.txt | cut -d' ' -f1)
+if [ "$parallel_cells_sum" != "$PARALLEL_CELLS_SHA256" ]; then
+  echo "parallel grid dump sha256 $parallel_cells_sum, pinned $PARALLEL_CELLS_SHA256"
+  exit 1
+fi
+echo "parallel grid dump matches its pinned sha256"
 
 echo "==> trace exports from the smoke manifests (double run must be byte-identical; ledger must register)"
 # The smoke runs above rewrote their manifests; render the causal trace
