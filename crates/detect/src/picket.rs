@@ -6,7 +6,7 @@
 //! deliberately memory-hungry relative to the simple detectors.
 
 use rein_data::{CellMask, ColumnType};
-use rein_ml::encode::{regression_target, select_matrix_rows, Encoder, LabelMap};
+use rein_ml::encode::{regression_target, select_matrix_rows_without, Encoder, LabelMap};
 use rein_ml::model::{Classifier, Regressor};
 use rein_ml::tree::{DecisionTreeClassifier, DecisionTreeRegressor, TreeParams};
 
@@ -41,17 +41,21 @@ impl Detector for Picket {
         if t.n_rows() < 20 || t.n_cols() < 2 {
             return mask;
         }
+        // Each column is reconstructed from the encoding of the others:
+        // the table's encoding without the column's block.
+        let all: Vec<usize> = (0..t.n_cols()).collect();
+        let encoder = Encoder::fit(t, &all);
+        let x = encoder.transform(t);
         for target_col in 0..t.n_cols() {
-            let other: Vec<usize> = (0..t.n_cols()).filter(|&c| c != target_col).collect();
-            let encoder = Encoder::fit(t, &other);
-            let x = encoder.transform(t);
+            let others =
+                |rows: &[usize]| select_matrix_rows_without(&x, rows, encoder.block(target_col));
             match t.observed_type(target_col) {
                 ColumnType::Int | ColumnType::Float => {
                     let (rows, y) = regression_target(t, target_col);
                     if rows.len() < 10 {
                         continue;
                     }
-                    let xs = select_matrix_rows(&x, &rows);
+                    let xs = others(&rows);
                     let mut model = DecisionTreeRegressor::new(TreeParams {
                         max_depth: 6,
                         ..Default::default()
@@ -88,7 +92,7 @@ impl Detector for Picket {
                     if rows.len() < 10 {
                         continue;
                     }
-                    let xs = select_matrix_rows(&x, &rows);
+                    let xs = others(&rows);
                     let mut model = DecisionTreeClassifier::new(TreeParams {
                         max_depth: 6,
                         ..Default::default()

@@ -9,6 +9,7 @@
 //! transform is then applied to any compatible table.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use rein_data::{Table, Value};
 
@@ -24,6 +25,16 @@ enum ColumnPlan {
     OneHot { categories: Vec<String> },
 }
 
+impl ColumnPlan {
+    /// Encoded columns of this plan.
+    fn width(&self) -> usize {
+        match self {
+            ColumnPlan::Numeric { .. } => 1,
+            ColumnPlan::OneHot { categories } => categories.len(),
+        }
+    }
+}
+
 /// A fitted feature encoder.
 #[derive(Debug, Clone)]
 pub struct Encoder {
@@ -37,10 +48,10 @@ impl Encoder {
     ///
     /// A column is treated as numeric when the majority of its non-null
     /// values convert to `f64` (so typo-shifted numeric columns still
-    /// encode numerically, with the typo cells mean-imputed).
+    /// encode numerically, with the typo cells mean-imputed). Each
+    /// column's plan depends on that column alone.
     pub fn fit(table: &Table, feature_cols: &[usize]) -> Self {
         let mut plans = Vec::with_capacity(feature_cols.len());
-        let mut width = 0;
         for &c in feature_cols {
             let non_null: Vec<&Value> = table.column(c).iter().filter(|v| !v.is_null()).collect();
             let numeric = non_null.iter().filter(|v| v.as_f64().is_some()).count();
@@ -55,7 +66,6 @@ impl Encoder {
                     xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64
                 };
                 plans.push(ColumnPlan::Numeric { mean, std: var.sqrt().max(1e-9) });
-                width += 1;
             } else {
                 let categories: Vec<String> = table
                     .value_counts(c)
@@ -63,16 +73,25 @@ impl Encoder {
                     .take(MAX_ONE_HOT)
                     .map(|(v, _)| v.as_key().into_owned())
                     .collect();
-                width += categories.len();
                 plans.push(ColumnPlan::OneHot { categories });
             }
         }
+        let width = plans.iter().map(ColumnPlan::width).sum();
         Self { feature_cols: feature_cols.to_vec(), plans, width }
     }
 
     /// Encoded feature width.
     pub fn width(&self) -> usize {
         self.width
+    }
+
+    /// The encoded columns of the `i`-th fitted feature column. Since a
+    /// column's plan depends on that column alone, dropping one block
+    /// from an encoding (see [`select_matrix_rows_without`]) gives, bit
+    /// for bit, the encoding fitted without that column.
+    pub fn block(&self, i: usize) -> Range<usize> {
+        let start = self.plans[..i].iter().map(ColumnPlan::width).sum();
+        start..start + self.plans[i].width()
     }
 
     /// Encodes one row of `table` into `out` (must have length `width`).
@@ -124,8 +143,9 @@ impl LabelMap {
                 if v.is_null() {
                     continue;
                 }
-                let key = v.as_key().into_owned();
-                if !map.index.contains_key(&key) {
+                let key = v.as_key();
+                if !map.index.contains_key(key.as_ref()) {
+                    let key = key.into_owned();
                     map.index.insert(key.clone(), map.classes.len());
                     map.classes.push(key);
                 }
@@ -180,9 +200,17 @@ pub fn regression_target(table: &Table, col: usize) -> (Vec<usize>, Vec<f64>) {
 
 /// Selects a subset of matrix rows (for aligning features with kept labels).
 pub fn select_matrix_rows(m: &Matrix, rows: &[usize]) -> Matrix {
-    let mut out = Matrix::zeros(rows.len(), m.cols());
+    select_matrix_rows_without(m, rows, 0..0)
+}
+
+/// Selects a subset of matrix rows without the columns in `drop`, such as
+/// one column's [`Encoder::block`].
+pub fn select_matrix_rows_without(m: &Matrix, rows: &[usize], drop: Range<usize>) -> Matrix {
+    let mut out = Matrix::zeros(rows.len(), m.cols() - drop.len());
     for (i, &r) in rows.iter().enumerate() {
-        out.row_mut(i).copy_from_slice(m.row(r));
+        let (from, to) = (m.row(r), out.row_mut(i));
+        to[..drop.start].copy_from_slice(&from[..drop.start]);
+        to[drop.start..].copy_from_slice(&from[drop.end..]);
     }
     out
 }
@@ -306,6 +334,55 @@ mod tests {
         assert_eq!(sub.rows(), 2);
         assert_eq!(sub.row(0), m.row(2));
         assert_eq!(sub.row(1), m.row(0));
+    }
+
+    /// Numeric, typo-shifted numeric, partly null, all-null, small and
+    /// more-than-[`MAX_ONE_HOT`]-category columns.
+    fn mixed_table() -> Table {
+        let schema = Schema::new(vec![
+            ColumnMeta::new("num", ColumnType::Float),
+            ColumnMeta::new("typo", ColumnType::Float),
+            ColumnMeta::new("nulls", ColumnType::Int),
+            ColumnMeta::new("empty", ColumnType::Str),
+            ColumnMeta::new("cat", ColumnType::Str),
+            ColumnMeta::new("wide", ColumnType::Str),
+        ]);
+        let rows = (0..60u8)
+            .map(|i| {
+                vec![
+                    Value::Float(f64::from(i) * 0.37 - 4.0),
+                    if i % 7 == 0 { Value::str("1.o") } else { Value::Float(f64::from(i % 9)) },
+                    if i % 3 == 0 { Value::Null } else { Value::Int(i64::from(i % 5)) },
+                    Value::Null,
+                    if i % 11 == 0 {
+                        Value::Null
+                    } else {
+                        Value::str(["a", "b", "c"][usize::from(i % 3)])
+                    },
+                    Value::str(format!("w{}", i % 27)),
+                ]
+            })
+            .collect();
+        Table::from_rows(schema, rows)
+    }
+
+    #[test]
+    fn sliced_encoding_is_the_encoding_without_the_column() {
+        let t = mixed_table();
+        let all: Vec<usize> = (0..t.n_cols()).collect();
+        let enc = Encoder::fit(&t, &all);
+        let x = enc.transform(&t);
+        let widths: Vec<usize> = all.iter().map(|&c| enc.block(c).len()).collect();
+        assert_eq!(widths, vec![1, 1, 1, 0, 3, MAX_ONE_HOT]);
+        let rows: Vec<usize> = (0..t.n_rows()).collect();
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for c in all.iter().copied() {
+            let others: Vec<usize> = all.iter().copied().filter(|&o| o != c).collect();
+            let want = Encoder::fit(&t, &others).transform(&t);
+            let got = select_matrix_rows_without(&x, &rows, enc.block(c));
+            assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()), "column {c}");
+            assert_eq!(bits(&got), bits(&want), "column {c}");
+        }
     }
 
     #[test]

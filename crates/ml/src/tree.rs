@@ -139,19 +139,29 @@ impl Best {
     }
 }
 
-/// How one feature's values over a node's rows can split them, decided in
-/// one pass before any sort.
+/// How one feature's values over a set of rows can split them, decided in
+/// one pass before any sort. A fit that scores every feature at every node
+/// classifies each feature once, over all its rows, and a node's rows are a
+/// subset of those. A fit that draws fewer features per node, as a forest's
+/// trees do, classifies the drawn features at each node: classifying and
+/// presorting up front read every feature of every forest tree, and were
+/// measured slower (EXPERIMENTS.md).
+#[derive(Clone, Copy)]
 enum Shape {
-    /// Every value is `==` to every other: no threshold.
+    /// Every value is `==` to every other: no threshold. Every subset of
+    /// the rows is constant too, so a fit never scans such a feature again.
     Constant,
-    /// Exactly two bit patterns, neither NaN, `lo < hi` (one-hot columns):
-    /// one boundary, at which the sorted order is every `lo` row, then
-    /// every `hi` row. Scored from counts: putting the rows in that order
-    /// for the general scan gives the same bits, but was measured 7 %
-    /// slower end to end on a grid where 40 % of the scored features are
-    /// two-valued (EXPERIMENTS.md).
+    /// Exactly two bit patterns, neither NaN, `lo < hi` (one-hot columns).
+    /// A node holds one of them (no threshold) or both, with one boundary
+    /// at which the sorted order is every `lo` row, then every `hi` row.
+    /// Scored from counts in one pass over the node's rows, with no shape
+    /// scan: putting the rows in that order for the general scan gives the
+    /// same bits, but was measured 7 % slower end to end on a grid where
+    /// 40 % of the scored features are two-valued (EXPERIMENTS.md).
     TwoValued { lo: f64, hi: f64 },
-    /// Anything else is sorted.
+    /// Anything else is scanned in sorted order: the node's range of the
+    /// fit's presorted order ([`Presorted::orders`]), or, in a fit that
+    /// classifies per node, a sort at the node.
     General,
 }
 
@@ -183,6 +193,76 @@ fn shape(x: &Matrix, rows: &[usize], f: usize) -> Shape {
     }
 }
 
+/// How many features each node of a fit over `d` features draws, when it
+/// draws fewer than all of them.
+fn drawn_subset(params: &TreeParams, d: usize) -> Option<usize> {
+    params.max_features.filter(|&k| k < d).map(|k| k.max(1))
+}
+
+/// What a node scans of one feature.
+enum Scan<'s> {
+    /// A two-valued feature's rows, scored from counts; the node may hold
+    /// only one of the values.
+    TwoValued { lo: f64, hi: f64 },
+    /// The node's (value, row) pairs, sorted by (`total_cmp`, row).
+    Sorted(&'s [(f64, usize)]),
+}
+
+/// How the node with `rows` (a range of the fit's rows from `start`)
+/// scans feature `f`: from the fit's classification and order when it has
+/// them, else classified and sorted here; `None` when the node's rows
+/// cannot split on it.
+fn scan<'s>(
+    x: &Matrix,
+    rows: &[usize],
+    start: usize,
+    f: usize,
+    presorted: Option<&'s Presorted>,
+    sorted: &'s mut Vec<(f64, usize)>,
+) -> Option<Scan<'s>> {
+    let node_shape = match presorted {
+        Some(fit) => fit.shapes[f],
+        None => shape(x, rows, f),
+    };
+    match node_shape {
+        Shape::Constant => None,
+        Shape::TwoValued { lo, hi } => Some(Scan::TwoValued { lo, hi }),
+        Shape::General => Some(Scan::Sorted(match presorted {
+            Some(fit) => &fit.orders[f][start..start + rows.len()],
+            None => {
+                sort_by_value(x, rows, f, sorted);
+                sorted
+            }
+        })),
+    }
+}
+
+/// What a fit that scores every feature at every node works out once.
+struct Presorted {
+    /// Each feature's shape over all rows of the fit.
+    shapes: Vec<Shape>,
+    /// Per [`Shape::General`] feature (empty for the others): its
+    /// (value, row) pairs sorted by (`total_cmp`, row), then partitioned
+    /// stably alongside `Grower::rows` at each split, so a node's range of
+    /// it is the node's rows in sorted order.
+    orders: Vec<Vec<(f64, usize)>>,
+    /// Whether each row of the node being split goes left.
+    goes_left: Vec<bool>,
+}
+
+impl Presorted {
+    fn new(x: &Matrix, rows: &[usize]) -> Self {
+        let shapes: Vec<Shape> = (0..x.cols()).map(|f| shape(x, rows, f)).collect();
+        let mut orders = vec![Vec::new(); x.cols()];
+        for (f, order) in orders.iter_mut().enumerate() {
+            if let Shape::General = shapes[f] {
+                sort_by_value(x, rows, f, order);
+            }
+        }
+        Presorted { shapes, orders, goes_left: vec![false; x.rows()] }
+    }
+}
+
 const NO_SLOT: usize = usize::MAX;
 
 /// One fit's workspace. Every node's rows are a range of `rows`, and a
@@ -197,7 +277,10 @@ struct Grower<'a> {
     rng: StdRng,
     nodes: Vec<Node>,
     rows: Vec<usize>,
-    /// (value, row) pairs of the feature being sorted.
+    /// `None` when nodes draw fewer than every feature.
+    presorted: Option<Presorted>,
+    /// (value, row) pairs of the feature being sorted; during a partition,
+    /// the right side of an order.
     sorted: Vec<(f64, usize)>,
     /// The right side's rows during a partition.
     spill: Vec<usize>,
@@ -211,6 +294,20 @@ struct Grower<'a> {
     counts: Vec<usize>,
     left: Vec<usize>,
     right: Vec<usize>,
+    /// The features the current split search scanned.
+    #[cfg(test)]
+    scanned: Vec<usize>,
+    #[cfg(test)]
+    searches: Vec<Search>,
+}
+
+/// One split search, as the tests replay it.
+#[cfg(test)]
+struct Search {
+    rows: Vec<usize>,
+    features: Vec<usize>,
+    scanned: Vec<usize>,
+    best: Option<(f64, f64, usize, f64)>,
 }
 
 fn build_tree(x: &Matrix, target: &Target<'_>, params: &TreeParams) -> Tree {
@@ -225,13 +322,16 @@ impl<'a> Grower<'a> {
             Target::Class { n_classes, .. } => *n_classes,
             Target::Reg { .. } => 0,
         };
+        let rows: Vec<usize> = (0..x.rows()).collect();
+        let presorted = drawn_subset(params, x.cols()).is_none().then(|| Presorted::new(x, &rows));
         Grower {
             x,
             target,
             params,
             rng: StdRng::seed_from_u64(params.seed),
             nodes: Vec::new(),
-            rows: (0..x.rows()).collect(),
+            rows,
+            presorted,
             sorted: Vec::with_capacity(x.rows()),
             spill: Vec::with_capacity(x.rows()),
             features: Vec::with_capacity(x.cols()),
@@ -240,6 +340,10 @@ impl<'a> Grower<'a> {
             counts: Vec::with_capacity(n_classes),
             left: Vec::with_capacity(n_classes),
             right: Vec::with_capacity(n_classes),
+            #[cfg(test)]
+            scanned: Vec::new(),
+            #[cfg(test)]
+            searches: Vec::new(),
         }
     }
 
@@ -249,11 +353,23 @@ impl<'a> Grower<'a> {
             depth >= self.params.max_depth || end - start < self.params.min_samples_split;
         if !make_leaf {
             let k = self.draw_features();
-            if let Some((_, _, feature, threshold)) = self.best_split(start, end, k) {
+            let best = self.best_split(start, end, k);
+            #[cfg(test)]
+            self.searches.push(Search {
+                rows: self.rows[start..end].to_vec(),
+                features: self.features[..k].to_vec(),
+                scanned: std::mem::take(&mut self.scanned),
+                best,
+            });
+            if let Some((_, _, feature, threshold)) = best {
                 let mid = self.partition(start, end, feature, threshold);
                 // The threshold can round onto a side's value and send
                 // every row one way; the node is then a leaf.
                 if mid > start && mid < end {
+                    // Only children that may split read the orders.
+                    if depth + 1 < self.params.max_depth {
+                        self.partition_orders(start, mid, end);
+                    }
                     let id = self.nodes.len();
                     self.nodes.push(Node::Leaf { value: Vec::new() }); // placeholder
                     let left = self.node(start, mid, depth + 1);
@@ -274,12 +390,12 @@ impl<'a> Grower<'a> {
         let d = self.x.cols();
         self.features.clear();
         self.features.extend(0..d);
-        match self.params.max_features {
-            Some(k) if k < d => {
+        match drawn_subset(self.params, d) {
+            Some(k) => {
                 self.features.shuffle(&mut self.rng);
-                k.max(1)
+                k
             }
-            _ => d,
+            None => d,
         }
     }
 
@@ -304,7 +420,20 @@ impl<'a> Grower<'a> {
         k: usize,
     ) -> Option<(f64, f64, usize, f64)> {
         let Grower {
-            x, params, rows, sorted, features, slot, present, counts, left, right, ..
+            x,
+            params,
+            rows,
+            presorted,
+            sorted,
+            features,
+            slot,
+            present,
+            counts,
+            left,
+            right,
+            #[cfg(test)]
+            scanned,
+            ..
         } = self;
         let rows = &rows[start..end];
         let (m, min_leaf) = (rows.len(), params.min_samples_leaf);
@@ -338,9 +467,13 @@ impl<'a> Grower<'a> {
         right.resize(present.len(), 0);
         let mut best = Best::default();
         for &f in &features[..k] {
-            match shape(x, rows, f) {
-                Shape::Constant => {}
-                Shape::TwoValued { lo, hi } => {
+            let Some(scan) = scan(x, rows, start, f, presorted.as_ref(), sorted) else {
+                continue;
+            };
+            #[cfg(test)]
+            scanned.push(f);
+            match scan {
+                Scan::TwoValued { lo, hi } => {
                     left.fill(0);
                     let mut nl = 0;
                     for &r in rows {
@@ -349,7 +482,9 @@ impl<'a> Grower<'a> {
                             nl += 1;
                         }
                     }
-                    if nl < min_leaf || m - nl < min_leaf {
+                    // Too few rows on a side, or none: the node holds only
+                    // one of the values.
+                    if nl.min(m - nl) < min_leaf.max(1) {
                         continue;
                     }
                     for ((r, &c), &l) in right.iter_mut().zip(counts.iter()).zip(left.iter()) {
@@ -358,8 +493,7 @@ impl<'a> Grower<'a> {
                     let nl = nl as f64;
                     best.offer(gini_score(left, right, nl, n), nl, n, f, (lo + hi) / 2.0);
                 }
-                Shape::General => {
-                    sort_by_value(x, rows, f, sorted);
+                Scan::Sorted(sorted) => {
                     left.fill(0);
                     right.copy_from_slice(counts);
                     for i in 0..m - 1 {
@@ -395,7 +529,17 @@ impl<'a> Grower<'a> {
         end: usize,
         k: usize,
     ) -> Option<(f64, f64, usize, f64)> {
-        let Grower { x, params, rows, sorted, features, .. } = self;
+        let Grower {
+            x,
+            params,
+            rows,
+            presorted,
+            sorted,
+            features,
+            #[cfg(test)]
+            scanned,
+            ..
+        } = self;
         let rows = &rows[start..end];
         let (m, min_leaf) = (rows.len(), params.min_samples_leaf);
         let n = m as f64;
@@ -406,31 +550,43 @@ impl<'a> Grower<'a> {
         }
         let mut best = Best::default();
         for &f in &features[..k] {
-            match shape(x, rows, f) {
-                Shape::Constant => {}
-                Shape::TwoValued { lo, hi } => {
-                    let is_lo = |r: &&usize| x[(**r, f)].to_bits() == lo.to_bits();
+            let Some(scan) = scan(x, rows, start, f, presorted.as_ref(), sorted) else {
+                continue;
+            };
+            #[cfg(test)]
+            scanned.push(f);
+            match scan {
+                Scan::TwoValued { lo, hi } => {
                     let (mut nl, mut left_sum, mut left_sq) = (0, 0.0, 0.0);
-                    for &r in rows.iter().filter(is_lo) {
-                        nl += 1;
-                        left_sum += y[r];
-                        left_sq += y[r] * y[r];
+                    for &r in rows {
+                        if x[(r, f)].to_bits() == lo.to_bits() {
+                            nl += 1;
+                            left_sum += y[r];
+                            left_sq += y[r] * y[r];
+                        }
                     }
-                    if nl < min_leaf || m - nl < min_leaf {
+                    // Too few rows on a side, or none: the node holds only
+                    // one of the values.
+                    if nl.min(m - nl) < min_leaf.max(1) {
                         continue;
                     }
-                    // The node's totals in sorted order: low rows, then
-                    // high rows.
-                    let in_order =
-                        || rows.iter().filter(is_lo).chain(rows.iter().filter(|r| !is_lo(r)));
-                    let total_sum: f64 = in_order().map(|&r| y[r]).sum();
-                    let total_sq: f64 = in_order().map(|&r| y[r] * y[r]).sum();
+                    // The node's totals in sorted order: the low rows' sums,
+                    // then each high row folded on in row order. These
+                    // start from +0.0 where `Iterator::sum` starts from
+                    // -0.0; the bits differ only when every target is a
+                    // zero, and a node with variance has a nonzero one.
+                    let (mut total_sum, mut total_sq) = (left_sum, left_sq);
+                    for &r in rows {
+                        if x[(r, f)].to_bits() != lo.to_bits() {
+                            total_sum += y[r];
+                            total_sq += y[r] * y[r];
+                        }
+                    }
                     let nl = nl as f64;
                     let score = variance_score(n, nl, (left_sum, left_sq), (total_sum, total_sq));
                     best.offer(score, nl, n, f, (lo + hi) / 2.0);
                 }
-                Shape::General => {
-                    sort_by_value(x, rows, f, sorted);
+                Scan::Sorted(sorted) => {
                     let total_sum: f64 = sorted.iter().map(|&(_, r)| y[r]).sum();
                     let total_sq: f64 = sorted.iter().map(|&(_, r)| y[r] * y[r]).sum();
                     let mut left_sum = 0.0;
@@ -474,6 +630,34 @@ impl<'a> Grower<'a> {
         }
         self.rows[mid..end].copy_from_slice(&self.spill);
         mid
+    }
+
+    /// Splits each presorted order's `start..end` range as `rows` was split
+    /// at `mid`, keeping both sides in their order, so each side stays
+    /// sorted by (`total_cmp`, row).
+    fn partition_orders(&mut self, start: usize, mid: usize, end: usize) {
+        let Grower { rows, presorted: Some(fit), sorted: spill, .. } = self else {
+            return;
+        };
+        for (i, &r) in rows[start..end].iter().enumerate() {
+            fit.goes_left[r] = start + i < mid;
+        }
+        let goes_left = &fit.goes_left;
+        for order in fit.orders.iter_mut().filter(|order| !order.is_empty()) {
+            let range = &mut order[start..end];
+            spill.clear();
+            let mut left = 0;
+            for i in 0..range.len() {
+                let pair = range[i];
+                if goes_left[pair.1] {
+                    range[left] = pair;
+                    left += 1;
+                } else {
+                    spill.push(pair);
+                }
+            }
+            range[left..].copy_from_slice(spill);
+        }
     }
 }
 
@@ -877,16 +1061,13 @@ mod tests {
         x
     }
 
-    fn arb_params(rng: &mut StdRng, d: usize) -> TreeParams {
+    /// Random growth limits; `max_features` is set per path by the caller.
+    fn arb_params(rng: &mut StdRng) -> TreeParams {
         TreeParams {
             max_depth: rng.random_range(1..7usize),
             min_samples_split: rng.random_range(0..5usize),
             min_samples_leaf: rng.random_range(0..4usize),
-            max_features: if rng.random_range(0..2usize) == 0 {
-                None
-            } else {
-                Some(rng.random_range(0..d + 1))
-            },
+            max_features: None,
             seed: rng.random_range(0..1000u64),
         }
     }
@@ -894,11 +1075,17 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(400))]
 
+        /// Grows each case's tree on both split paths, every feature
+        /// scored at every node (presorted orders) and a drawn subset per
+        /// node (per-node sorts), and compares the whole tree and every
+        /// inner node's winning split (score, imbalance, feature and
+        /// threshold bits) with the reference, which searches each node's
+        /// rows afresh. No node may scan a feature constant over the fit.
         #[test]
         fn kernel_grows_the_reference_tree(seed in 0u64..1_000_000, n in 1usize..40, d in 1usize..7) {
             let mut rng = StdRng::seed_from_u64(seed);
             let x = arb_matrix(&mut rng, n, d);
-            let params = arb_params(&mut rng, d);
+            let params = arb_params(&mut rng);
             // Classes drawn from a random subset, so some are absent from
             // every node, and up to more classes than rows.
             let n_classes = rng.random_range(1..n + 6);
@@ -912,33 +1099,54 @@ mod tests {
                     _ => rng.random_range(-5.0..5.0),
                 })
                 .collect();
-            // An inner node's rows: an ascending subset.
-            let mut subset: Vec<usize> =
-                (0..n).filter(|_| rng.random_range(0..4usize) != 0).collect();
-            if subset.is_empty() {
-                subset.push(n - 1);
-            }
-            for target in [Target::Class { y: &y, n_classes }, Target::Reg { y: &t }] {
-                prop_assert_eq!(
-                    render(&build_tree(&x, &target, &params)),
-                    render(&reference::build_tree(&x, &target, &params))
-                );
-                let mut grower = Grower::new(&x, &target, &params);
-                grower.rows.clone_from(&subset);
-                let k = grower.draw_features();
-                let features = grower.features[..k].to_vec();
-                let bits = |best: Option<(f64, f64, usize, f64)>| {
-                    best.map(|(s, i, f, t)| (s.to_bits(), i.to_bits(), f, t.to_bits()))
-                };
-                let got = bits(grower.best_split(0, subset.len(), k));
-                let want = bits(reference::best_candidate(
-                    &x,
-                    &target,
-                    &subset,
-                    &features,
-                    params.min_samples_leaf,
-                ));
-                prop_assert_eq!(got, want);
+            let constant: Vec<usize> =
+                (0..d).filter(|&f| (0..n).all(|r| x[(r, f)] == x[(0, f)])).collect();
+            let every = if rng.random_range(0..2usize) == 0 {
+                None
+            } else {
+                Some(d + rng.random_range(0..2usize))
+            };
+            let drawn = Some(rng.random_range(0..d));
+            let bits = |best: Option<(f64, f64, usize, f64)>| {
+                best.map(|(s, i, f, t)| (s.to_bits(), i.to_bits(), f, t.to_bits()))
+            };
+            for max_features in [every, drawn] {
+                let params = TreeParams { max_features, ..params.clone() };
+                for target in [Target::Class { y: &y, n_classes }, Target::Reg { y: &t }] {
+                    let mut grower = Grower::new(&x, &target, &params);
+                    // The path: presorted exactly when every node scores
+                    // every feature, and only the general features.
+                    prop_assert_eq!(grower.presorted.is_some(), max_features == every);
+                    if let Some(fit) = &grower.presorted {
+                        for f in 0..d {
+                            let shape = fit.shapes[f];
+                            prop_assert_eq!(matches!(shape, Shape::Constant), constant.contains(&f));
+                            prop_assert_eq!(fit.orders[f].is_empty(), !matches!(shape, Shape::General));
+                        }
+                    }
+                    grower.node(0, n, 0);
+                    let tree = Tree { nodes: std::mem::take(&mut grower.nodes) };
+                    prop_assert_eq!(
+                        render(&tree),
+                        render(&reference::build_tree(&x, &target, &params))
+                    );
+                    for search in &grower.searches {
+                        let want = reference::best_candidate(
+                            &x,
+                            &target,
+                            &search.rows,
+                            &search.features,
+                            params.min_samples_leaf,
+                        );
+                        prop_assert_eq!(bits(search.best), bits(want), "rows {:?}", &search.rows);
+                        prop_assert!(
+                            search.scanned.iter().all(|f| !constant.contains(f)),
+                            "scanned {:?}, constant {:?}",
+                            &search.scanned,
+                            &constant
+                        );
+                    }
+                }
             }
         }
     }

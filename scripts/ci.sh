@@ -16,6 +16,13 @@ REIN_THREADS=4 cargo test -q
 echo "==> benchmark package tests (its own workspace: a kernel change must not break its build)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml --bins
 
+echo "==> benchmark at its default seed (each workload's cell digest and count must match)"
+# The package tests above run at a tiny scale, where no digest is
+# compared. This run checks every workload's cells against the digests
+# recorded in benchmark/src/bin/rein_benchmark/workload.rs and exits 1
+# when any workload is incorrect.
+bash benchmark/run.sh --all --seconds 1
+
 echo "==> cargo run -p rein-audit (determinism & integrity audit, semantic rules + SARIF, stale suppressions blocking)"
 cargo run -q -p rein-audit -- --quiet --deny-stale --sarif artifacts/audit/report.sarif
 

@@ -73,6 +73,21 @@ fn detection_is_deterministic() {
     }
 }
 
+/// FNV-1a-64 of [`render_mask`] for Picket on Soccer (×0.003, seed 3),
+/// the shape of the benchmark's detection scan: 41 of its 44 columns are
+/// continuous, so most of Picket's tree features take the sorted split
+/// path, which the mostly one-hot Beers pin above barely reaches.
+const PINNED_SOCCER_PICKET: u64 = 0x8d21_fc0f_01d7_c42d;
+
+#[test]
+fn picket_on_soccer_is_pinned() {
+    use rein_telemetry::fnv1a64;
+    let ds = DatasetId::Soccer.generate(&Params::scaled(0.003, 3));
+    let mask = DetectorHarness::new(&ds, 60, 42).run(&ds, DetectorKind::Picket).mask;
+    let got = fnv1a64(render_mask(&mask).as_bytes());
+    assert_eq!(got, PINNED_SOCCER_PICKET, "picket on soccer: {got:#018x}");
+}
+
 /// Repairers whose outputs are pinned across commits in [`PINNED_REPAIRS`].
 const PINNED_KINDS: [RepairKind; 6] = [
     RepairKind::Baran,
