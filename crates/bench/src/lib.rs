@@ -2,15 +2,13 @@
 //!
 //! The experiment harness reproducing every table and figure of the
 //! paper's evaluation (§6). Each `src/bin/` binary regenerates one
-//! artefact and prints the same rows/series the paper reports; the
-//! `benches/` directory holds the Criterion runtime benchmarks.
+//! artefact and prints the same rows/series the paper reports. Runtime
+//! is measured by the repository benchmark under `benchmark/`.
 //!
 //! All binaries honour the `REIN_SCALE` environment variable (default
 //! `0.05`): dataset row counts are `REIN_SCALE ×` the paper's Table 4
 //! sizes, so a laptop run finishes in minutes while `REIN_SCALE=1` runs
 //! the full-size study.
-
-pub mod perf;
 
 use rein_core::{DetectorHarness, DetectorRun, GuardPolicy};
 use rein_datasets::{DatasetId, GeneratedDataset, Params};
@@ -22,12 +20,6 @@ pub const DEFAULT_SCALE: f64 = 0.05;
 
 /// Default for `REIN_REPEATS` (the paper uses 10).
 pub const DEFAULT_REPEATS: usize = 3;
-
-/// Default repeats for the perf suite when `REIN_REPEATS` is unset. The
-/// regression gate runs a paired Wilcoxon over the repeat timings and
-/// the exact test cannot reach p < 0.05 with fewer than 6 pairs, so the
-/// perf default is higher than [`DEFAULT_REPEATS`].
-pub const DEFAULT_PERF_REPEATS: usize = 7;
 
 /// Terminates the process over an unusable environment override. A
 /// typo'd `REIN_SCALE=0.5x` silently running the full-size study (or a
@@ -87,22 +79,11 @@ pub fn progress() -> bool {
     })
 }
 
-/// Repeat count for the perf suite: `REIN_REPEATS` when set (validated
-/// like [`repeats`]), otherwise [`DEFAULT_PERF_REPEATS`].
-pub fn perf_repeats() -> usize {
-    if std::env::var_os("REIN_REPEATS").is_some() {
-        repeats()
-    } else {
-        DEFAULT_PERF_REPEATS
-    }
-}
-
 /// The configured worker-thread count, plumbed from exactly one place
 /// so every artifact echoes the same number: `REIN_THREADS` when set
 /// (validated like the other overrides), otherwise the rayon pool width
-/// ([`rayon::current_num_threads`]). Both `BENCH_*.json` reports and
-/// run manifests echo this value — the parallelism speedup curve is
-/// only readable if the thread axis is recorded honestly.
+/// ([`rayon::current_num_threads`]). Run manifests echo this value, so
+/// a manifest records the pool width its timings were taken at.
 pub fn worker_threads() -> u32 {
     static THREADS: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
     *THREADS.get_or_init(|| match std::env::var("REIN_THREADS") {

@@ -22,7 +22,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use rein_ledger::{build_report, index_path, ingest_repo, LedgerIndex};
+use rein_ledger::{build_report, index_path, rescan};
 
 struct Args {
     root: PathBuf,
@@ -71,13 +71,7 @@ fn run(args: &Args) -> Result<(), String> {
         .map(PathBuf::from)
         .ok_or_else(|| "output path has no parent directory".to_string())?;
 
-    let candidates = ingest_repo(&args.root)?;
-    let scanned = candidates.len();
-    let mut index = LedgerIndex::load(&index_file)?;
-    let changed = index.apply(candidates);
-    if changed {
-        index.save(&index_file).map_err(|e| format!("write {}: {e}", index_file.display()))?;
-    }
+    let (index, scanned, changed) = rescan(&args.root, &index_file)?;
     println!(
         "ledger: {} artifacts scanned, {} entries, generation {}{}",
         scanned,

@@ -12,7 +12,8 @@
 //!   Without it, every manifest under `artifacts/telemetry/` carrying a
 //!   full span stream is exported. Summary-mode manifests are skipped
 //!   with a note: their sampled streams cannot reconstruct complete
-//!   trees.
+//!   trees. So are manifests without cell traces (and without orphans):
+//!   their exports would be empty.
 //!
 //! Every export is a pure function of the manifest bytes — virtual
 //! lanes, tick time, renumbered span ids — so a double run is
@@ -29,7 +30,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use rein_ledger::{export_manifest, index_path, ingest_repo, write_exports, LedgerIndex};
+use rein_ledger::{export_manifest, index_path, rescan, write_exports};
 use rein_telemetry::RunManifest;
 
 struct Args {
@@ -92,7 +93,7 @@ fn manifest_sources(args: &Args) -> Result<Vec<String>, String> {
 }
 
 /// Exports one manifest; returns its orphan count, or `None` when the
-/// manifest was skipped (summary mode).
+/// manifest was skipped (summary mode, or no cell traces).
 fn export_one(root: &Path, source: &str) -> Result<Option<u64>, String> {
     let path = root.join(source);
     let text =
@@ -103,11 +104,15 @@ fn export_one(root: &Path, source: &str) -> Result<Option<u64>, String> {
         println!("{source}: skipped (summary mode — span stream is sampled)");
         return Ok(None);
     }
+    let (forest, export) = export_manifest(&manifest);
+    if export.traces == 0 && export.orphans == 0 {
+        println!("{source}: skipped (no cell traces)");
+        return Ok(None);
+    }
     let stem = Path::new(source)
         .file_stem()
         .map(|s| s.to_string_lossy().into_owned())
         .ok_or_else(|| format!("{source}: no file stem"))?;
-    let (forest, export) = export_manifest(&manifest);
     let paths = write_exports(root, &stem, &manifest)?;
     println!(
         "{source}: {} cell trace(s), {} ambient span(s), {} orphan(s) -> {}",
@@ -141,13 +146,7 @@ fn run(args: &Args) -> Result<u64, String> {
     }
 
     // Register the fresh `.cells.json` exports in the ledger index.
-    let index_file = index_path(&args.root);
-    let candidates = ingest_repo(&args.root)?;
-    let mut index = LedgerIndex::load(&index_file)?;
-    let changed = index.apply(candidates);
-    if changed {
-        index.save(&index_file).map_err(|e| format!("write {}: {e}", index_file.display()))?;
-    }
+    let (index, _, changed) = rescan(&args.root, &index_path(&args.root))?;
     let traced = index.entries.iter().filter(|e| e.kind == "trace_export").count();
     println!(
         "exported {exported} manifest(s); ledger: {} entries ({traced} trace exports), generation {}{}",

@@ -5,9 +5,9 @@
 //! (see [`crate::hash`]). Ingesting the same artifacts twice is a
 //! no-op: entries already present by key are skipped, the generation
 //! counter only advances when something actually changed, and the
-//! serialized index is byte-identical.
+//! serialized index is byte-identical. A full rescan also forgets the
+//! entries whose artifact was deleted.
 
-use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -83,8 +83,6 @@ pub struct EntrySummary {
     pub failures: FailureTaxonomy,
     /// `cells_scanned` counter, when present.
     pub cells_scanned: u64,
-    /// Macro-benchmarks in a `BENCH_*.json` report.
-    pub benchmarks: u64,
     /// Violations in an audit report.
     pub violations: u64,
 }
@@ -95,8 +93,7 @@ pub struct EntrySummary {
 pub struct LedgerEntry {
     /// Content key: FNV-1a 64 of the run identity, 16 hex digits.
     pub key: String,
-    /// Artifact class: `run_manifest`, `bench_report`, `audit_report`
-    /// or `trace_export`.
+    /// Artifact class: `run_manifest`, `audit_report` or `trace_export`.
     pub kind: String,
     /// Repo-relative source path, forward slashes.
     pub source: String,
@@ -116,9 +113,6 @@ pub struct LedgerEntry {
     pub generation: u32,
     /// Deterministic aggregates.
     pub summary: EntrySummary,
-    /// Per-benchmark median milliseconds (bench reports only) — the
-    /// raw material of the cross-generation trend series.
-    pub bench_medians: BTreeMap<String, f64>,
 }
 
 /// The whole index.
@@ -126,8 +120,8 @@ pub struct LedgerEntry {
 pub struct LedgerIndex {
     /// [`INDEX_SCHEMA`].
     pub schema: u32,
-    /// Highest generation any entry carries; bumped only when an ingest
-    /// pass actually adds or replaces entries.
+    /// Generation of the last ingest pass that changed the index; bumped
+    /// only when a pass actually adds, replaces or drops entries.
     pub generation: u32,
     /// Entries sorted by (kind, source, key) — the byte-stable order.
     pub entries: Vec<LedgerEntry>,
@@ -218,14 +212,27 @@ impl LedgerIndex {
 
     /// Applies a batch of candidate entries as one ingest pass: if any
     /// of them is new, the generation advances once and all new entries
-    /// are stamped with it. Returns `true` when the index changed.
+    /// are stamped with it. Never drops an entry. Returns `true` when
+    /// the index changed.
     pub fn apply(&mut self, candidates: Vec<LedgerEntry>) -> bool {
-        let any_new = candidates.iter().any(|c| !self.contains(&c.key));
-        if !any_new {
-            return false;
-        }
+        self.pass(candidates, |_| true)
+    }
+
+    /// Applies a full rescan of the artifacts under `root` as one ingest
+    /// pass: [`LedgerIndex::apply`] plus dropping every entry whose
+    /// source file no longer exists. Additions and drops share one
+    /// generation bump. Returns `true` when the index changed.
+    pub fn apply_rescan(&mut self, candidates: Vec<LedgerEntry>, root: &Path) -> bool {
+        self.pass(candidates, |e| root.join(&e.source).exists())
+    }
+
+    /// One ingest pass: drops the entries `keep` rejects, then ingests
+    /// `candidates`, advancing the generation once if anything changed.
+    fn pass(&mut self, candidates: Vec<LedgerEntry>, keep: impl Fn(&LedgerEntry) -> bool) -> bool {
+        let before = self.entries.len();
+        self.entries.retain(|e| keep(e));
         let generation = self.generation + 1;
-        let mut changed = false;
+        let mut changed = self.entries.len() != before;
         for c in candidates {
             if self.ingest_at(c, generation) != IngestOutcome::AlreadyKnown {
                 changed = true;
@@ -256,7 +263,6 @@ mod tests {
             strategies: vec!["detect:raha".to_string()],
             generation: 0,
             summary: EntrySummary::default(),
-            bench_medians: BTreeMap::new(),
         }
     }
 

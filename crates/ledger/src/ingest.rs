@@ -6,8 +6,6 @@
 //! * **Run manifests** — `artifacts/telemetry/*.json`, parsed through
 //!   the typed [`RunManifest`] (both `full` and `summary` modes, and
 //!   pre-mode files via the serde defaults).
-//! * **Bench reports** — `BENCH_*.json` at the repo root, parsed
-//!   generically so schema growth never breaks ingestion.
 //! * **Audit reports** — `artifacts/audit/report.json`.
 //! * **Trace exports** — `artifacts/trace/*.cells.json`, the typed
 //!   per-cell cost tables written by `rein_trace` (the Chrome JSON and
@@ -18,7 +16,6 @@
 //! decides what is new. Scans are sorted so candidate order is
 //! deterministic regardless of directory iteration order.
 
-use std::collections::BTreeMap;
 use std::path::Path;
 
 use rein_telemetry::RunManifest;
@@ -108,93 +105,14 @@ pub fn manifest_entry(manifest: &RunManifest, source: &str) -> LedgerEntry {
             span_names,
             failures,
             cells_scanned: manifest.counters.get("cells_scanned").copied().unwrap_or(0),
-            benchmarks: 0,
             violations: 0,
         },
-        bench_medians: BTreeMap::new(),
     }
 }
 
 /// Map-field lookup on a generic JSON value.
 fn get<'a>(value: &'a Value, key: &str) -> Option<&'a Value> {
     value.as_map()?.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn num_f64(value: &Value) -> Option<f64> {
-    match value {
-        Value::I64(n) => Some(*n as f64),
-        Value::U64(n) => Some(*n as f64),
-        Value::F64(n) => Some(*n),
-        _ => None,
-    }
-}
-
-fn num_u64(value: &Value) -> Option<u64> {
-    match value {
-        Value::I64(n) => u64::try_from(*n).ok(),
-        Value::U64(n) => Some(*n),
-        _ => None,
-    }
-}
-
-/// Builds the ledger entry for one `BENCH_*.json` perf report. Parsed
-/// generically: the identity is (creating bin, seed, scale, sorted
-/// benchmark ids, thread-axis widths) — timings are deliberately not
-/// part of the key, so a re-run of the same suite maps to the same
-/// entry, while adding or widening the threads axis measures something
-/// new and registers as a new entry.
-pub fn bench_entry(report: &Value, source: &str) -> Result<LedgerEntry, String> {
-    let bin = get(report, "created_by")
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("{source}: missing created_by"))?
-        .to_string();
-    let env = get(report, "env").ok_or_else(|| format!("{source}: missing env"))?;
-    let seed = get(env, "seed").and_then(num_u64).unwrap_or(0);
-    let scale = get(env, "scale").and_then(num_f64).unwrap_or(0.0);
-    let threads =
-        get(env, "threads").and_then(num_u64).and_then(|t| u32::try_from(t).ok()).unwrap_or(0);
-    let benchmarks = get(report, "benchmarks")
-        .and_then(Value::as_seq)
-        .ok_or_else(|| format!("{source}: missing benchmarks"))?;
-    let mut ids: Vec<String> = Vec::new();
-    let mut bench_medians: BTreeMap<String, f64> = BTreeMap::new();
-    for b in benchmarks {
-        let id = get(b, "id")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("{source}: benchmark without id"))?
-            .to_string();
-        if let Some(median) = get(b, "timing").and_then(|t| get(t, "median_ms")).and_then(num_f64) {
-            bench_medians.insert(id.clone(), median);
-        }
-        ids.push(id);
-    }
-    if let Some(axis) = get(report, "thread_axis").and_then(Value::as_seq) {
-        for point in axis {
-            let Some(width) = get(point, "threads").and_then(num_u64) else { continue };
-            ids.push(format!("thread_axis/{width}"));
-            if let Some(median) =
-                get(point, "timing").and_then(|t| get(t, "median_ms")).and_then(num_f64)
-            {
-                bench_medians.insert(format!("thread_axis/{width}"), median);
-            }
-        }
-    }
-    ids.sort();
-    let key = content_key(&run_identity("bench_report", &bin, seed, scale, &ids));
-    Ok(LedgerEntry {
-        key,
-        kind: "bench_report".to_string(),
-        source: source.to_string(),
-        bin,
-        seed,
-        scale,
-        threads,
-        mode: String::new(),
-        strategies: Vec::new(),
-        generation: 0,
-        summary: EntrySummary { benchmarks: benchmarks.len() as u64, ..EntrySummary::default() },
-        bench_medians,
-    })
 }
 
 /// Builds the ledger entry for the audit report. The identity covers
@@ -229,7 +147,6 @@ pub fn audit_entry(report: &Value, source: &str) -> Result<LedgerEntry, String> 
         strategies: Vec::new(),
         generation: 0,
         summary: EntrySummary { violations, ..EntrySummary::default() },
-        bench_medians: BTreeMap::new(),
     })
 }
 
@@ -269,21 +186,6 @@ pub fn ingest_repo(root: &Path) -> Result<Vec<LedgerEntry>, String> {
         let manifest =
             RunManifest::from_json(&text).map_err(|e| format!("parse {}: {e}", path.display()))?;
         candidates.push(manifest_entry(&manifest, &rel(root, &path)));
-    }
-
-    for path in json_files(root)? {
-        let is_bench = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"));
-        if !is_bench {
-            continue;
-        }
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let report: Value =
-            serde_json::from_str(&text).map_err(|e| format!("parse {}: {e}", path.display()))?;
-        candidates.push(bench_entry(&report, &rel(root, &path))?);
     }
 
     for path in json_files(&crate::trace::trace_dir(root))? {
@@ -421,72 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_reports_key_on_suite_not_timings() {
-        let report = |median: f64| {
-            serde_json::from_str::<Value>(&format!(
-                r#"{{
-                    "schema": 1,
-                    "created_by": "perf_baseline",
-                    "env": {{ "scale": 0.05, "seed": 90, "threads": 4 }},
-                    "benchmarks": [
-                        {{ "id": "detect/katara/beers", "timing": {{ "median_ms": {median} }} }},
-                        {{ "id": "repair/mean/beers", "timing": {{ "median_ms": 1.5 }} }}
-                    ]
-                }}"#
-            ))
-            .expect("report parses")
-        };
-        let a = bench_entry(&report(0.2), "BENCH_0.json").expect("entry");
-        let b = bench_entry(&report(0.9), "BENCH_0.json").expect("entry");
-        assert_eq!(a.key, b.key, "timings are not identity");
-        assert_eq!(a.summary.benchmarks, 2);
-        assert_eq!(a.threads, 4);
-        assert_eq!(a.bench_medians.get("detect/katara/beers"), Some(&0.2));
-        assert_eq!(b.bench_medians.get("detect/katara/beers"), Some(&0.9));
-    }
-
-    #[test]
-    fn bench_thread_axis_widths_are_identity() {
-        // The measured pool widths are part of what the suite ran, so
-        // a report that adds a threads axis (BENCH_1 vs BENCH_0) gets
-        // its own key — while the axis timings stay out of the key.
-        let report = |axis: &str| {
-            serde_json::from_str::<Value>(&format!(
-                r#"{{
-                    "schema": 1,
-                    "created_by": "perf_baseline",
-                    "env": {{ "scale": 0.05, "seed": 90, "threads": 4 }},
-                    "benchmarks": [
-                        {{ "id": "detect/katara/beers", "timing": {{ "median_ms": 0.2 }} }}
-                    ],
-                    "thread_axis": [{axis}]
-                }}"#
-            ))
-            .expect("report parses")
-        };
-        let point = |threads: u64, median: f64| {
-            format!(r#"{{ "threads": {threads}, "timing": {{ "median_ms": {median} }} }}"#)
-        };
-        let no_axis = bench_entry(&report(""), "BENCH_0.json").expect("entry");
-        let axis_a = bench_entry(
-            &report(&format!("{}, {}", point(1, 400.0), point(4, 500.0))),
-            "BENCH_1.json",
-        )
-        .expect("entry");
-        let axis_b = bench_entry(
-            &report(&format!("{}, {}", point(1, 410.0), point(4, 520.0))),
-            "BENCH_1.json",
-        )
-        .expect("entry");
-        let wider = bench_entry(&report(&point(8, 300.0)), "BENCH_1.json").expect("entry");
-        assert_ne!(no_axis.key, axis_a.key, "axis widths are identity");
-        assert_eq!(axis_a.key, axis_b.key, "axis timings are not identity");
-        assert_ne!(axis_a.key, wider.key, "a different width set is a different run");
-        assert_eq!(axis_a.bench_medians.get("thread_axis/1"), Some(&400.0));
-        assert_eq!(axis_a.bench_medians.get("thread_axis/4"), Some(&500.0));
-    }
-
-    #[test]
     fn audit_key_tracks_catalog_and_violations() {
         let report = |rules: &str, violations: &str| {
             serde_json::from_str::<Value>(&format!(
@@ -511,13 +347,17 @@ mod tests {
     #[test]
     fn ingest_walks_the_committed_repo() {
         // The committed artifacts are themselves the fixture: every
-        // manifest, the bench report and the audit report must ingest.
+        // manifest and the audit report must ingest.
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let candidates = ingest_repo(&root).expect("committed artifacts ingest");
         let kinds = |k: &str| candidates.iter().filter(|c| c.kind == k).count();
         assert!(kinds("run_manifest") >= 10, "telemetry manifests: {}", kinds("run_manifest"));
-        assert!(kinds("bench_report") >= 1);
         assert_eq!(kinds("audit_report"), 1);
+        // The committed index forgets deleted artifacts.
+        let index = crate::LedgerIndex::load(&crate::index_path(&root)).expect("index loads");
+        for e in &index.entries {
+            assert!(root.join(&e.source).exists(), "index entry for missing {}", e.source);
+        }
         // Every key unique across the committed set.
         let mut keys: Vec<&str> = candidates.iter().map(|c| c.key.as_str()).collect();
         keys.sort_unstable();

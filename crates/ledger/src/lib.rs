@@ -1,8 +1,8 @@
 //! rein-ledger: the cross-run observability store.
 //!
 //! Every benchmark run in this repo already leaves an artifact behind —
-//! telemetry run manifests under `artifacts/telemetry/`, macro-benchmark
-//! reports at `BENCH_*.json`, the audit report under `artifacts/audit/`.
+//! telemetry run manifests under `artifacts/telemetry/`, trace exports
+//! under `artifacts/trace/`, the audit report under `artifacts/audit/`.
 //! The ledger folds all of them into one deterministic, content-addressed
 //! index at `artifacts/ledger/index.json`:
 //!
@@ -12,7 +12,8 @@
 //!   maps to the same key and the ledger never double-counts a run.
 //! * **Generational** — the index carries a generation counter that
 //!   advances once per ingest pass *that changes something*. Re-ingesting
-//!   the same artifacts is a byte-identical no-op.
+//!   the same artifacts is a byte-identical no-op, and a full
+//!   [`rescan`] drops the entries of deleted artifacts.
 //! * **Byte stable** — entries sort by (kind, source, key), collections
 //!   are `BTreeMap`s, serialization is pretty JSON with a trailing
 //!   newline. Two ingest runs over the same artifacts produce the same
@@ -38,7 +39,7 @@ pub use index::{
     index_path, ledger_dir, EntrySummary, FailureTaxonomy, IngestOutcome, LedgerEntry, LedgerIndex,
     INDEX_SCHEMA,
 };
-pub use ingest::{audit_entry, bench_entry, ingest_repo, manifest_entry};
+pub use ingest::{audit_entry, ingest_repo, manifest_entry};
 pub use report::{
     build_report, profile_diff, trend_rows, DiffRow, PercentileRow, Report, StrategyRow,
     TaxonomyRow, TrendRow,
@@ -69,6 +70,23 @@ pub fn register_run(root: &Path, manifest: &RunManifest, source: &Path) -> Resul
         index.save(&path).map_err(|e| format!("write {}: {e}", path.display()))?;
     }
     Ok(changed)
+}
+
+/// The full rescan `rein_report` and `rein_trace` share: ingests every
+/// artifact under `root` into the index at `index_file` and drops every
+/// entry whose source file no longer exists, as one ingest pass (see
+/// [`LedgerIndex::apply_rescan`]). Saves the index only when it changed.
+/// Returns the index, the number of artifacts scanned and whether the
+/// index changed.
+pub fn rescan(root: &Path, index_file: &Path) -> Result<(LedgerIndex, usize, bool), String> {
+    let candidates = ingest_repo(root)?;
+    let scanned = candidates.len();
+    let mut index = LedgerIndex::load(index_file)?;
+    let changed = index.apply_rescan(candidates, root);
+    if changed {
+        index.save(index_file).map_err(|e| format!("write {}: {e}", index_file.display()))?;
+    }
+    Ok((index, scanned, changed))
 }
 
 #[cfg(test)]
@@ -110,6 +128,34 @@ mod tests {
         assert!(register_run(&dir, &manifest(12), &source).expect("new seed registers"));
         let index = LedgerIndex::load(&index_path(&dir)).expect("index loads");
         assert_eq!(index.generation, 2);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn rescan_forgets_deleted_artifacts_once() {
+        let dir = std::env::temp_dir().join(format!("rein-ledger-rescan-{}", std::process::id()));
+        let _cleanup = std::fs::remove_dir_all(&dir);
+        let telemetry = dir.join("artifacts/telemetry");
+        std::fs::create_dir_all(&telemetry).expect("temp dir");
+        for seed in [11, 12] {
+            let path = telemetry.join(format!("fig2_detection-{seed}.json"));
+            std::fs::write(path, manifest(seed).to_json()).expect("manifest written");
+        }
+        let index_file = index_path(&dir);
+        let (index, scanned, changed) = rescan(&dir, &index_file).expect("first rescan");
+        assert_eq!((scanned, changed, index.entries.len(), index.generation), (2, true, 2, 1));
+
+        std::fs::remove_file(telemetry.join("fig2_detection-12.json")).expect("remove");
+        let (index, _, changed) = rescan(&dir, &index_file).expect("rescan after removal");
+        assert!(changed, "a deleted artifact's entry must go");
+        let sources: Vec<&str> = index.entries.iter().map(|e| e.source.as_str()).collect();
+        assert_eq!(sources, ["artifacts/telemetry/fig2_detection-11.json"]);
+        assert_eq!(index.generation, 2, "the drop is one generation bump");
+
+        let bytes = std::fs::read(&index_file).expect("index written");
+        let (_, _, changed) = rescan(&dir, &index_file).expect("second rescan");
+        assert!(!changed);
+        assert_eq!(std::fs::read(&index_file).expect("index"), bytes, "a second rescan is a no-op");
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! Sections mirror the paper's result surfaces: the per-strategy
 //! cost/failure table (the shape of Fig 2/4/5), the guard-failure
-//! taxonomy, benchmark median trends across ledger generations, and an
+//! taxonomy, trends across ledger generations, and an
 //! optional flamegraph-style span-profile diff between two runs.
 
 use std::collections::BTreeMap;
@@ -114,8 +114,6 @@ pub struct TrendRow {
     pub spans: u64,
     /// Guarded failures those entries recorded.
     pub failures: u64,
-    /// Macro-benchmarks those entries carry.
-    pub benchmarks: u64,
     /// Audit violations those entries carry.
     pub violations: u64,
 }
@@ -182,9 +180,6 @@ pub struct Report {
     /// Store cache effectiveness of every store-backed run, sorted by
     /// source; empty when no manifest recorded `store_*` counters.
     pub cache: Vec<CacheRow>,
-    /// Benchmark medians of every bench report, keyed by benchmark id
-    /// then source file.
-    pub bench_medians: BTreeMap<String, BTreeMap<String, f64>>,
     /// Generation trend rows, oldest first.
     pub trends: Vec<TrendRow>,
     /// Optional span-profile diff: `(label_a, label_b, rows)`.
@@ -304,13 +299,11 @@ pub fn trend_rows(index: &LedgerIndex) -> Vec<TrendRow> {
             entries: 0,
             spans: 0,
             failures: 0,
-            benchmarks: 0,
             violations: 0,
         });
         row.entries += 1;
         row.spans += e.summary.spans;
         row.failures += e.summary.failures.total();
-        row.benchmarks += e.summary.benchmarks;
         row.violations += e.summary.violations;
     }
     by_gen.into_values().collect()
@@ -368,12 +361,6 @@ pub fn build_report(
         *kind_counts.entry(e.kind.clone()).or_insert(0) += 1;
     }
     let (strategies, taxonomy, percentiles, cache) = strategy_tables(root, index)?;
-    let mut bench_medians: BTreeMap<String, BTreeMap<String, f64>> = BTreeMap::new();
-    for e in index.entries.iter().filter(|e| e.kind == "bench_report") {
-        for (id, median) in &e.bench_medians {
-            bench_medians.entry(id.clone()).or_default().insert(e.source.clone(), *median);
-        }
-    }
     let diff = match diff {
         None => None,
         Some((a, b)) => Some((a.to_string(), b.to_string(), profile_diff(root, a, b)?)),
@@ -385,7 +372,6 @@ pub fn build_report(
         taxonomy,
         percentiles,
         cache,
-        bench_medians,
         trends: trend_rows(index),
         diff,
     })
@@ -505,27 +491,13 @@ impl Report {
             }
         }
 
-        out.push_str("\n## Benchmark medians\n\n");
-        if self.bench_medians.is_empty() {
-            out.push_str("No bench reports in the ledger.\n");
-        } else {
-            out.push_str("| benchmark | source | median ms |\n|---|---|---:|\n");
-            for (id, by_source) in &self.bench_medians {
-                for (source, median) in by_source {
-                    out.push_str(&format!("| {id} | {source} | {} |\n", fmt_ms(*median)));
-                }
-            }
-        }
-
         out.push_str("\n## Generation trends\n\n");
-        out.push_str(
-            "| generation | entries added | spans | failures | benchmarks | violations |\n",
-        );
-        out.push_str("|---:|---:|---:|---:|---:|---:|\n");
+        out.push_str("| generation | entries added | spans | failures | violations |\n");
+        out.push_str("|---:|---:|---:|---:|---:|\n");
         for t in &self.trends {
             out.push_str(&format!(
-                "| {} | {} | {} | {} | {} | {} |\n",
-                t.generation, t.entries, t.spans, t.failures, t.benchmarks, t.violations
+                "| {} | {} | {} | {} | {} |\n",
+                t.generation, t.entries, t.spans, t.failures, t.violations
             ));
         }
 
@@ -688,33 +660,15 @@ impl Report {
             out.push_str("</table>\n");
         }
 
-        out.push_str("<h2>Benchmark medians</h2>\n");
-        if self.bench_medians.is_empty() {
-            out.push_str("<p>No bench reports in the ledger.</p>\n");
-        } else {
-            out.push_str("<table>\n<tr><th>benchmark</th><th>source</th><th>median ms</th></tr>\n");
-            for (id, by_source) in &self.bench_medians {
-                for (source, median) in by_source {
-                    out.push_str(&format!(
-                        "<tr><td><code>{}</code></td><td>{}</td><td class=\"n\">{}</td></tr>\n",
-                        esc(id),
-                        esc(source),
-                        fmt_ms(*median)
-                    ));
-                }
-            }
-            out.push_str("</table>\n");
-        }
-
         out.push_str(
             "<h2>Generation trends</h2>\n<table>\n<tr><th>generation</th><th>entries added</th>\
-             <th>spans</th><th>failures</th><th>benchmarks</th><th>violations</th></tr>\n",
+             <th>spans</th><th>failures</th><th>violations</th></tr>\n",
         );
         for t in &self.trends {
             out.push_str(&format!(
                 "<tr><td class=\"n\">{}</td><td class=\"n\">{}</td><td class=\"n\">{}</td>\
-                 <td class=\"n\">{}</td><td class=\"n\">{}</td><td class=\"n\">{}</td></tr>\n",
-                t.generation, t.entries, t.spans, t.failures, t.benchmarks, t.violations
+                 <td class=\"n\">{}</td><td class=\"n\">{}</td></tr>\n",
+                t.generation, t.entries, t.spans, t.failures, t.violations
             ));
         }
         out.push_str("</table>\n");
@@ -779,7 +733,6 @@ mod tests {
             strategies: Vec::new(),
             generation,
             summary: EntrySummary { spans, ..EntrySummary::default() },
-            bench_medians: BTreeMap::new(),
         }
     }
 
@@ -791,7 +744,7 @@ mod tests {
             entries: vec![
                 entry("run_manifest", "aa", 1, 10),
                 entry("run_manifest", "bb", 1, 5),
-                entry("bench_report", "cc", 2, 0),
+                entry("audit_report", "cc", 2, 0),
             ],
         };
         let trends = trend_rows(&index);
@@ -849,7 +802,6 @@ mod tests {
                 commits: 0,
                 divergence: 0,
             }],
-            bench_medians: BTreeMap::new(),
             trends: Vec::new(),
             diff: None,
         };

@@ -136,7 +136,6 @@ pub fn trace_entry(export: &TraceExport, source: &str) -> LedgerEntry {
         strategies: cell_names,
         generation: 0,
         summary: EntrySummary { spans, span_names: export.traces, ..EntrySummary::default() },
-        bench_medians: std::collections::BTreeMap::new(),
     }
 }
 

@@ -27,8 +27,9 @@
 //!   benchmark binary.
 //! * **Performance primitives** ([`perf`]) — the single audit-sanctioned
 //!   wall-clock source ([`perf::now`], [`perf::Stopwatch`]), an optional
-//!   counting global allocator, and the span-tree profiler
-//!   ([`perf::span_profile`]) behind the `BENCH_*.json` baselines.
+//!   allocation-counting global allocator, and the span-tree profiler
+//!   ([`perf::span_profile`]) behind the benchmark's per-layer breakdown
+//!   and the ledger's profile diffs.
 //!
 //! Typical binary skeleton:
 //!
@@ -73,8 +74,8 @@ pub use metrics::{
     HistogramSummary,
 };
 pub use span::{
-    current, current_trace, drain_spans, instant, snapshot_spans, span, span_shard_count,
-    span_traced, span_under, Span, SpanCtx, SpanRecord, TraceContext,
+    current, current_trace, drain_spans, instant, snapshot_spans, span, span_traced, span_under,
+    Span, SpanCtx, SpanRecord, TraceContext,
 };
 pub use trace::{
     build_traces, cell_costs, chrome_trace_json, flamegraph_svg, CellCost, CellTrace, OrphanSpan,

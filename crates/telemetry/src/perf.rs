@@ -16,8 +16,7 @@
 //!   bytes. A binary opts in with
 //!   `#[global_allocator] static A: CountingAllocator = CountingAllocator;`
 //!   and reads [`alloc_snapshot`] deltas around the phases it measures.
-//!   When no binary installs it, all counts stay zero and
-//!   [`alloc_tracking_active`] reports `false`.
+//!   When no binary installs it, all counts stay zero.
 //! * **Span-tree profiles** — [`span_profile`] folds a flat list of
 //!   [`SpanRecord`]s into per-span-path statistics (total time, self
 //!   time, call count), flamegraph-style: the path of a span is the
@@ -69,26 +68,12 @@ impl Stopwatch {
 // allocator) so `alloc_snapshot` works without a handle to the
 // installed `#[global_allocator]` static.
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-static DEALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 static BYTES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
-static CURRENT_BYTES: AtomicU64 = AtomicU64::new(0);
-static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
 #[inline]
 fn record_alloc(size: u64) {
     ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
     BYTES_ALLOCATED.fetch_add(size, Ordering::Relaxed);
-    let current = CURRENT_BYTES.fetch_add(size, Ordering::Relaxed) + size;
-    PEAK_BYTES.fetch_max(current, Ordering::Relaxed);
-}
-
-#[inline]
-fn record_dealloc(size: u64) {
-    DEALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-    // Saturating: a binary may install the allocator after some frees'
-    // matching allocations were never counted.
-    let _ = CURRENT_BYTES
-        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| Some(c.saturating_sub(size)));
 }
 
 /// A counting wrapper over the system allocator. Install it from a
@@ -100,7 +85,7 @@ fn record_dealloc(size: u64) {
 ///     rein_telemetry::perf::CountingAllocator;
 /// ```
 ///
-/// Overhead per allocation is a handful of relaxed atomic adds.
+/// Overhead is two relaxed atomic adds per allocation and none per free.
 pub struct CountingAllocator;
 
 // SAFETY: every method delegates directly to `System`, which upholds the
@@ -125,13 +110,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) };
-        record_dealloc(layout.size() as u64);
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let new_ptr = unsafe { System.realloc(ptr, layout, new_size) };
         if !new_ptr.is_null() {
-            record_dealloc(layout.size() as u64);
             record_alloc(new_size as u64);
         }
         new_ptr
@@ -139,20 +122,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
 }
 
 /// A point-in-time reading of the allocation counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllocSnapshot {
-    /// Total `alloc`/`alloc_zeroed` calls (plus the alloc half of each
-    /// `realloc`).
+    /// Total `alloc`/`alloc_zeroed`/`realloc` calls.
     pub allocs: u64,
-    /// Total `dealloc` calls (plus the dealloc half of each `realloc`).
-    pub deallocs: u64,
     /// Cumulative bytes requested across all allocations.
     pub bytes_allocated: u64,
-    /// Bytes currently outstanding (approximate before install).
-    pub current_bytes: u64,
-    /// High-water mark of `current_bytes` since process start (or the
-    /// last [`reset_alloc_peak`]).
-    pub peak_bytes: u64,
 }
 
 impl AllocSnapshot {
@@ -166,7 +141,7 @@ impl AllocSnapshot {
 }
 
 /// Allocation activity over an interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllocDelta {
     /// Allocation calls in the interval.
     pub allocs: u64,
@@ -179,27 +154,8 @@ pub struct AllocDelta {
 pub fn alloc_snapshot() -> AllocSnapshot {
     AllocSnapshot {
         allocs: ALLOC_CALLS.load(Ordering::Relaxed),
-        deallocs: DEALLOC_CALLS.load(Ordering::Relaxed),
         bytes_allocated: BYTES_ALLOCATED.load(Ordering::Relaxed),
-        current_bytes: CURRENT_BYTES.load(Ordering::Relaxed),
-        peak_bytes: PEAK_BYTES.load(Ordering::Relaxed),
     }
-}
-
-/// Resets the peak-bytes high-water mark to the current outstanding
-/// bytes, so a measured phase reports its own peak rather than the
-/// process-lifetime one.
-pub fn reset_alloc_peak() {
-    PEAK_BYTES.store(CURRENT_BYTES.load(Ordering::Relaxed), Ordering::Relaxed);
-}
-
-/// Whether the [`CountingAllocator`] is actually installed: performs a
-/// probe allocation and checks that the counters moved.
-pub fn alloc_tracking_active() -> bool {
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
-    let probe = std::hint::black_box(vec![0u8; 64]);
-    drop(std::hint::black_box(probe));
-    ALLOC_CALLS.load(Ordering::Relaxed) != before
 }
 
 /// Aggregated statistics of one span path.
@@ -345,14 +301,8 @@ mod tests {
 
     #[test]
     fn alloc_snapshot_delta_is_saturating() {
-        let a = AllocSnapshot {
-            allocs: 10,
-            deallocs: 2,
-            bytes_allocated: 100,
-            current_bytes: 50,
-            peak_bytes: 80,
-        };
-        let b = AllocSnapshot { allocs: 25, bytes_allocated: 300, ..a };
+        let a = AllocSnapshot { allocs: 10, bytes_allocated: 100 };
+        let b = AllocSnapshot { allocs: 25, bytes_allocated: 300 };
         let d = b.since(&a);
         assert_eq!(d, AllocDelta { allocs: 15, bytes_allocated: 200 });
         // Reversed order saturates instead of wrapping.

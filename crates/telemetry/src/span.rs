@@ -17,14 +17,13 @@
 //!
 //! Finished spans accumulate in a process-global *sharded* sink: each
 //! worker thread appends to its own buffer (round-robin shard
-//! assignment on first use, `REIN_SPAN_SHARDS` buffers, default one per
-//! core), so parallel stages never contend on one list lock. Snapshots
-//! merge the shards deterministically — ordered by the global close
-//! epoch each record was stamped with, tie-broken by span path and
-//! per-shard sequence — so the merged stream is byte-identical no
-//! matter how many shards the records were scattered across, and a
-//! one-shard sink reproduces the historical single-stream completion
-//! order exactly.
+//! assignment on first use, one buffer per available core), so parallel
+//! stages never contend on one list lock. Snapshots merge the shards
+//! deterministically — ordered by the global close epoch each record
+//! was stamped with, tie-broken by span path and per-shard sequence —
+//! so the merged stream is byte-identical no matter how many shards the
+//! records were scattered across, and a one-shard sink reproduces the
+//! historical single-stream completion order exactly.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -126,11 +125,6 @@ impl SpanSink {
         }
     }
 
-    /// Number of shard buffers.
-    pub(crate) fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Round-robin shard assignment for a newly seen worker thread.
     fn assign_shard(&self) -> usize {
         self.next_worker.fetch_add(1, Ordering::Relaxed) % self.shards.len()
@@ -216,31 +210,12 @@ pub(crate) fn merge_shards(shards: Vec<Vec<ShardEntry>>) -> Vec<SpanRecord> {
     merge_entries(shards).into_iter().map(|(_, r)| r).collect()
 }
 
-/// Shard count for the global sink: `REIN_SPAN_SHARDS` when set,
-/// otherwise one buffer per available core. A value that is set but not
-/// a positive integer is a hard error, never a silent default —
-/// consistent with the bench crate's environment handling.
-fn span_shards() -> usize {
-    // audit:allow(env-read-confinement, REIN_SPAN_SHARDS only sizes the span sink's buffer pool; shards are merged deterministically before any report)
-    match std::env::var("REIN_SPAN_SHARDS") {
-        Err(_) => std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
-        Ok(raw) => match raw.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                // audit:allow(print, a bad environment must fail loudly before any telemetry exists)
-                eprintln!(
-                    "error: REIN_SPAN_SHARDS={raw:?} is invalid: want a positive \
-                     integer (unset it to use one shard per core)"
-                );
-                std::process::exit(2);
-            }
-        },
-    }
-}
-
+/// The global sink: one shard per available core.
 fn sink() -> &'static SpanSink {
     static SINK: OnceLock<SpanSink> = OnceLock::new();
-    SINK.get_or_init(|| SpanSink::new(span_shards()))
+    SINK.get_or_init(|| {
+        SpanSink::new(std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1))
+    })
 }
 
 thread_local! {
@@ -260,13 +235,6 @@ fn worker_shard() -> usize {
             s
         }
     })
-}
-
-/// Shard count of the process-global span sink (`REIN_SPAN_SHARDS`,
-/// default one per core). Exposed so manifests and tests can echo the
-/// effective collection configuration.
-pub fn span_shard_count() -> usize {
-    sink().shard_count()
 }
 
 /// The innermost span open on the current thread, if any. Capture this
@@ -599,7 +567,7 @@ mod tests {
     #[test]
     fn sink_round_robins_workers_and_merges_deterministically() {
         let sink = SpanSink::new(4);
-        assert_eq!(sink.shard_count(), 4);
+        assert_eq!(sink.shards.len(), 4);
         // Simulate three workers, each recording into its assigned shard.
         let shards: Vec<usize> = (0..3).map(|_| sink.assign_shard()).collect();
         assert_eq!(shards, [0, 1, 2]);

@@ -7,7 +7,7 @@
 //! the owning cell's `CellKey` identity. Because a cell executes
 //! sequentially on one worker, the relative order of its records in the
 //! merged stream is scheduling-invariant, so the reconstructed trees
-//! are identical at any `REIN_THREADS` or `REIN_SPAN_SHARDS` setting.
+//! are identical at any `REIN_THREADS` setting and sink shard count.
 //!
 //! Three canonical exports are derived from the forest, all
 //! byte-stable across double runs *and* across thread/shard counts:
@@ -558,15 +558,16 @@ mod tests {
     /// change a single exported byte.
     #[test]
     fn exports_are_invariant_under_span_shard_count() {
-        let entries: Vec<(u64, SpanRecord)> =
-            stream().into_iter().enumerate().map(|(i, r)| (i as u64, r)).collect();
-        let one = build_traces(&crate::span::merge_shards(vec![entries.clone()]));
-        for n in [2, 3, 5] {
-            let mut shards = vec![Vec::new(); n];
-            for (i, e) in entries.iter().enumerate() {
-                shards[i % n].push(e.clone());
+        let sink_of = |n: usize| {
+            let sink = crate::span::SpanSink::new(n);
+            for (i, r) in stream().into_iter().enumerate() {
+                sink.record(i % n, r);
             }
-            let sharded = build_traces(&crate::span::merge_shards(shards));
+            build_traces(&sink.snapshot())
+        };
+        let one = sink_of(1);
+        for n in [2, 3, 5] {
+            let sharded = sink_of(n);
             assert_eq!(
                 chrome_trace_json(&one),
                 chrome_trace_json(&sharded),

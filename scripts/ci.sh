@@ -26,16 +26,6 @@ bash benchmark/run.sh --all --seconds 1
 echo "==> cargo run -p rein-audit (determinism & integrity audit, semantic rules + SARIF, stale suppressions blocking)"
 cargo run -q -p rein-audit -- --quiet --deny-stale --sarif artifacts/audit/report.sarif
 
-echo "==> perf smoke (comparator self-test + small-scale suite vs committed baseline, report-only)"
-cargo run -q --release -p rein-bench --bin bench_compare -- --self-test
-REIN_SCALE=0.01 cargo run -q --release -p rein-bench --bin perf_baseline -- \
-  --out artifacts/perf/BENCH_ci.json
-# Report-only: shared CI runners are too noisy to gate merges on wall
-# clock, and the committed baseline was recorded on different hardware
-# at a different scale. The table in the log is the signal.
-cargo run -q --release -p rein-bench --bin bench_compare -- \
-  BENCH_0.json artifacts/perf/BENCH_ci.json --report-only
-
 echo "==> grid smoke --mode chaos at REIN_THREADS=1 and 4 (exit 3 = degraded-as-injected)"
 # Chaos mode exits 3 by design: the injected cells *did* degrade and the
 # manifest records them. 4 = a non-injected cell diverged, 5 = wrong
@@ -93,18 +83,15 @@ echo "parallel grid dump matches its pinned sha256"
 
 echo "==> trace exports from the smoke manifests (double run must be byte-identical; ledger must register)"
 # The smoke runs above rewrote their manifests; render the causal trace
-# exports (Chrome trace JSON, flamegraph SVG, per-cell cost table)
-# twice and hash-compare — the exports are pure functions of the
-# manifest bytes, so any drift is nondeterminism. rein_trace exits 4 on
-# orphan spans (an incomplete causal tree) and re-ingests the ledger.
-cargo run -q --release -p rein-ledger --bin rein_trace -- \
-  --manifest artifacts/telemetry/chaos_smoke-29.json \
-  --manifest artifacts/telemetry/parallel_smoke-31.json
-first_trace=$(sha256sum artifacts/trace/chaos_smoke-29.* artifacts/trace/parallel_smoke-31.*)
-cargo run -q --release -p rein-ledger --bin rein_trace -- \
-  --manifest artifacts/telemetry/chaos_smoke-29.json \
-  --manifest artifacts/telemetry/parallel_smoke-31.json
-second_trace=$(sha256sum artifacts/trace/chaos_smoke-29.* artifacts/trace/parallel_smoke-31.*)
+# exports (Chrome trace JSON, flamegraph SVG, per-cell cost table) of
+# every manifest that carries cell traces, twice, and hash-compare — the
+# exports are pure functions of the manifest bytes, so any drift is
+# nondeterminism. rein_trace exits 4 on orphan spans (an incomplete
+# causal tree) and re-ingests the ledger.
+cargo run -q --release -p rein-ledger --bin rein_trace
+first_trace=$(sha256sum artifacts/trace/*)
+cargo run -q --release -p rein-ledger --bin rein_trace
+second_trace=$(sha256sum artifacts/trace/*)
 if [ "$first_trace" != "$second_trace" ]; then
   echo "trace exports changed between two identical runs:"
   echo "$first_trace"
