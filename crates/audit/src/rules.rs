@@ -39,7 +39,6 @@ pub struct RuleInfo {
 const DOC_TOKEN: &str = "DESIGN.md#6b-determinism-invariants-and-the-audit-rein-audit";
 const DOC_SEMANTIC: &str = "DESIGN.md#6c-semantic-rules-ast--call-graph";
 const DOC_GUARD: &str = "DESIGN.md#6e-fault-tolerance-and-chaos-testing-rein-guard";
-const DOC_LEDGER: &str = "DESIGN.md#6f-cross-run-observability-the-ledger-rein-ledger";
 const DOC_CONCURRENCY: &str =
     "DESIGN.md#6g-concurrency-determinism-rules-parallel-grid-certification";
 const DOC_DATAFLOW: &str = "DESIGN.md#6h-cache-key-purity-certification-taint-dataflow";
@@ -48,7 +47,7 @@ const DOC_STORE: &str =
     "DESIGN.md#6j-crash-safe-incremental-grid-the-durable-cell-store-rein-store";
 
 /// The audit rule catalog.
-pub const RULES: [RuleInfo; 26] = [
+pub const RULES: [RuleInfo; 25] = [
     RuleInfo {
         id: "wallclock",
         help_uri: DOC_TOKEN,
@@ -146,15 +145,6 @@ pub const RULES: [RuleInfo; 26] = [
                       wrappers (DetectorHarness::run, run_repair*, \
                       detect_with_context) — an unguarded dispatch lets one \
                       crashing strategy abort the whole grid.",
-    },
-    RuleInfo {
-        id: "ledger-registration",
-        help_uri: DOC_LEDGER,
-        description: "Every manifest collection in the bench crate must \
-                      register the run in the cross-run ledger \
-                      (rein_ledger::register_run) — an unregistered \
-                      manifest is invisible to the observability report \
-                      and to incremental evaluation.",
     },
     RuleInfo {
         id: "par-shared-mutable",
@@ -652,36 +642,6 @@ pub fn audit_source(path: &str, source: &str) -> FileAudit {
             }
         }
     }
-    // Ledger registration: wherever the bench crate collects a run
-    // manifest it must also register the run in the cross-run ledger.
-    // The write path is centralised in `write_run_manifest`, so in
-    // practice this pins one file — but a new bin that snapshots its own
-    // RunManifest without registering it would silently vanish from the
-    // observability report, which is exactly what this rule catches.
-    let ledger_scoped = path.starts_with("crates/bench/src/") && !class.is_test_support;
-    if ledger_scoped {
-        let code: String = lines.iter().map(|l| l.code.as_str()).collect::<Vec<_>>().join("\n");
-        if has_token(&code, "RunManifest::collect") && !has_token(&code, "register_run") {
-            let line = lines
-                .iter()
-                .position(|l| has_token(&l.code, "RunManifest::collect"))
-                .map_or(1, |i| i + 1);
-            if file_allowed("ledger-registration") {
-                out.suppressed += 1;
-                out.consumed.extend(table.match_keys_file("ledger-registration"));
-            } else {
-                out.violations.push(Violation {
-                    path: path.to_string(),
-                    line,
-                    rule: "ledger-registration".into(),
-                    message: "RunManifest::collect without rein_ledger::register_run — \
-                              the run would be invisible to the ledger report"
-                        .into(),
-                });
-            }
-        }
-    }
-
     // Guard coverage: every toolbox dispatch in rein-core and the bench
     // crate must run under rein-guard supervision. Files that call
     // rein_guard::run are the sanctioned dispatchers; everywhere else a
@@ -897,33 +857,6 @@ mod tests {
         // Binaries may print: they are the report surface.
         let bin = audit_source("crates/audit/src/main.rs", "println!(\"hi\");\n");
         assert!(bin.violations.is_empty());
-    }
-
-    #[test]
-    fn ledger_registration_scope() {
-        let bad = audit_source(
-            "crates/bench/src/lib.rs",
-            "fn w() { let m = RunManifest::collect(\"fig\", config); m.write(); }\n",
-        );
-        assert_eq!(rules_of(&bad), ["ledger-registration"]);
-        let ok = audit_source(
-            "crates/bench/src/lib.rs",
-            "fn w() { let m = RunManifest::collect(\"fig\", config); m.write(); \
-             rein_ledger::register_run(root, &m, &path); }\n",
-        );
-        assert!(ok.violations.is_empty());
-        // Outside the bench crate the rule does not apply (tools may
-        // collect manifests for inspection), and test support is exempt.
-        let tool = audit_source(
-            "crates/telemetry/src/manifest.rs",
-            "fn c() { let _m = RunManifest::collect(\"x\", config); }\n",
-        );
-        assert!(!rules_of(&tool).contains(&"ledger-registration"), "{:?}", tool.violations);
-        let test = audit_source(
-            "crates/bench/tests/t.rs",
-            "fn c() { let _m = RunManifest::collect(\"x\", config); }\n",
-        );
-        assert!(!rules_of(&test).contains(&"ledger-registration"), "{:?}", test.violations);
     }
 
     #[test]

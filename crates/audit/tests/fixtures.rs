@@ -127,18 +127,6 @@ fn guard_coverage_rule() {
 }
 
 #[test]
-fn ledger_registration_rule() {
-    assert_fires("ledger_reg_bad.rs", "crates/bench/src/fixture.rs", "ledger-registration");
-    assert_clean("ledger_reg_ok.rs", "crates/bench/src/fixture.rs");
-    // Only the bench crate is scoped: tools and tests may collect
-    // manifests for inspection without registering them.
-    let out = audit_fixture("ledger_reg_bad.rs", "crates/ledger/src/fixture.rs");
-    assert!(!rules_of(&out).contains(&"ledger-registration"), "got {:?}", out.violations);
-    let out = audit_fixture("ledger_reg_bad.rs", "crates/bench/tests/fixture.rs");
-    assert!(!rules_of(&out).contains(&"ledger-registration"), "got {:?}", out.violations);
-}
-
-#[test]
 fn store_atomic_write_rule() {
     assert_fires("store_write_bad.rs", "crates/core/src/fixture.rs", "store-atomic-write");
     // Binaries are in scope too: a smoke bin poking the journal with a

@@ -146,15 +146,6 @@ pub fn write_run_manifest(binary: &str, seed: u64, label_budget: u64) {
                 path.display()
             );
             println!("telemetry manifest: {}", path.display());
-            // Register the run in the cross-run ledger so the report
-            // generator sees it without a full rescan. Registration is
-            // idempotent: re-running the same configuration maps to the
-            // same content key and leaves the index untouched.
-            match rein_ledger::register_run(std::path::Path::new("."), &manifest, &path) {
-                Ok(true) => println!("ledger: registered {}", path.display()),
-                Ok(false) => println!("ledger: already known, index unchanged"),
-                Err(e) => eprintln!("warning: ledger registration failed for {binary}: {e}"),
-            }
         }
         Err(e) => eprintln!("warning: failed to write run manifest for {binary}: {e}"),
     }

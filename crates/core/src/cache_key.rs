@@ -8,18 +8,17 @@
 //! certifies exactly that by proving the cell-compute entry points
 //! key-pure against [`CellKey`] (see DESIGN.md §6h).
 //!
-//! The hash is the same FNV-1a-64 that `rein-ledger` content-addresses
-//! run-level artifacts with, so a cell key and a run key live in one
-//! address space and a future incremental store can share the ledger's
-//! index machinery.
+//! The hash is the workspace's one FNV-1a-64, rendered in `rein-ledger`'s
+//! 16-hex content-key format; the durable cell store (`rein-store`)
+//! journals each cell under this key.
 
 use rein_ledger::{content_key, fnv1a64};
 
 /// The declared cache-key tuple of one grid cell.
 ///
 /// Field order is the identity order: [`CellKey::identity`] joins the
-/// components with `|` exactly as [`rein_ledger::run_identity`] does for
-/// run-level keys, and [`CellKey::content_key`] hashes that string.
+/// components with `|` behind a `cell` kind tag, and
+/// [`CellKey::content_key`] hashes that string.
 /// Adding a value-influencing input to the cell computation means
 /// adding a field here — the audit's purity certificate is relative to
 /// this struct's declared fields.
@@ -45,9 +44,8 @@ pub struct CellKey {
 }
 
 impl CellKey {
-    /// The `|`-joined identity string, mirroring
-    /// [`rein_ledger::run_identity`]'s `kind|bin|seed|scale|strategies`
-    /// convention at cell granularity.
+    /// The `|`-joined identity string: `cell|` and then each component
+    /// in field order.
     pub fn identity(&self) -> String {
         format!(
             "cell|{}|{}|{}|{}|{}|{}",

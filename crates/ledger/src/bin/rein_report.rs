@@ -1,5 +1,5 @@
-//! `rein_report`: ingest every observability artifact into the ledger
-//! and render the static report.
+//! `rein_report`: render the static observability report from every
+//! run manifest under `artifacts/telemetry/`.
 //!
 //! ```text
 //! rein_report [--root DIR] [--out DIR] [--diff MANIFEST_A MANIFEST_B]
@@ -7,13 +7,13 @@
 //!
 //! * `--root` — repository root to scan (default `.`).
 //! * `--out`  — output directory (default `<root>/artifacts/ledger`);
-//!   receives `index.json`, `report.md` and `report.html`.
+//!   receives `report.md` and `report.html`.
 //! * `--diff` — include a span-profile diff between two run manifests,
 //!   given as repo-relative paths.
 //!
 //! The whole pipeline is deterministic: running it twice over the same
-//! artifacts leaves `index.json` and both reports byte-identical (CI
-//! asserts exactly that). Exit codes: 0 on success, 1 on ingest or IO
+//! manifests leaves both reports byte-identical (CI asserts exactly
+//! that). Exit codes: 0 on success, 1 on a read, parse or write
 //! failure, 2 on usage errors.
 
 // Binaries are the report surface.
@@ -22,7 +22,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use rein_ledger::{build_report, index_path, rescan};
+use rein_ledger::build_report;
 
 struct Args {
     root: PathBuf,
@@ -62,26 +62,9 @@ fn parse_args() -> Result<Args, ExitCode> {
 }
 
 fn run(args: &Args) -> Result<(), String> {
-    let index_file = match &args.out {
-        Some(out) => out.join("index.json"),
-        None => index_path(&args.root),
-    };
-    let out_dir = index_file
-        .parent()
-        .map(PathBuf::from)
-        .ok_or_else(|| "output path has no parent directory".to_string())?;
-
-    let (index, scanned, changed) = rescan(&args.root, &index_file)?;
-    println!(
-        "ledger: {} artifacts scanned, {} entries, generation {}{}",
-        scanned,
-        index.entries.len(),
-        index.generation,
-        if changed { " (updated)" } else { " (unchanged)" }
-    );
-
+    let out_dir = args.out.clone().unwrap_or_else(|| args.root.join("artifacts").join("ledger"));
     let diff = args.diff.as_ref().map(|(a, b)| (a.as_str(), b.as_str()));
-    let report = build_report(&args.root, &index, diff)?;
+    let report = build_report(&args.root, diff)?;
     std::fs::create_dir_all(&out_dir).map_err(|e| format!("mkdir {}: {e}", out_dir.display()))?;
     let md_path = out_dir.join("report.md");
     let html_path = out_dir.join("report.html");
@@ -90,7 +73,8 @@ fn run(args: &Args) -> Result<(), String> {
     std::fs::write(&html_path, report.to_html())
         .map_err(|e| format!("write {}: {e}", html_path.display()))?;
     println!(
-        "report: {} strategies, {} failing cells -> {} + {}",
+        "report: {} run manifests, {} strategies, {} failing cells -> {} + {}",
+        report.manifests,
         report.strategies.len(),
         report.taxonomy.len(),
         md_path.display(),

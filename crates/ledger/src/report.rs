@@ -1,14 +1,15 @@
-//! The static observability report rendered from the ledger.
+//! The static observability report, built straight from the run
+//! manifests.
 //!
-//! Everything here is a pure function of the index plus the artifacts it
-//! points at: same ledger, same bytes. The report exists in two forms —
-//! markdown (`report.md`, for diffs and terminals) and a dependency-free
-//! static HTML page (`report.html`, uploaded by CI) — rendered from the
-//! same row structs so they cannot drift apart.
+//! Everything here is a pure function of the manifests under
+//! `artifacts/telemetry/`: same manifests, same bytes. The report exists
+//! in two forms — markdown (`report.md`, for diffs and terminals) and a
+//! dependency-free static HTML page (`report.html`, uploaded by CI) —
+//! rendered from the same row structs so they cannot drift apart.
 //!
 //! Sections mirror the paper's result surfaces: the per-strategy
 //! cost/failure table (the shape of Fig 2/4/5), the guard-failure
-//! taxonomy, trends across ledger generations, and an
+//! taxonomy, duration percentiles, store cache effectiveness, and an
 //! optional flamegraph-style span-profile diff between two runs.
 
 use std::collections::BTreeMap;
@@ -17,19 +18,95 @@ use std::path::Path;
 use rein_telemetry::perf::span_profile;
 use rein_telemetry::RunManifest;
 
-use crate::index::{FailureTaxonomy, LedgerIndex};
+/// Guard-failure taxonomy counts, classified from rendered causes:
+/// `panic:` → panics, `budget exhausted` → deadlines, `transient
+/// failure persisted` → retries, `invalid output` → corrupt.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FailureTaxonomy {
+    /// Strategy panicked (caught and recorded by rein-guard).
+    pub panics: u64,
+    /// Cooperative deadline budget exhausted.
+    pub deadlines: u64,
+    /// Transient failure persisted through the retry allowance.
+    pub retries: u64,
+    /// Output failed validation (corrupt / invalid shape).
+    pub corrupt: u64,
+}
+
+impl FailureTaxonomy {
+    /// Classifies one rendered failure cause into the taxonomy.
+    pub fn count(&mut self, cause: &str) {
+        if cause.starts_with("panic:") {
+            self.panics += 1;
+        } else if cause.starts_with("budget exhausted") {
+            self.deadlines += 1;
+        } else if cause.starts_with("transient failure persisted") {
+            self.retries += 1;
+        } else {
+            // `invalid output:` plus anything a future guard adds —
+            // an unknown cause is still a corrupt result, never silent.
+            self.corrupt += 1;
+        }
+    }
+
+    /// Total failures across the taxonomy.
+    pub fn total(&self) -> u64 {
+        self.panics + self.deadlines + self.retries + self.corrupt
+    }
+}
+
+/// Span-name prefixes that name a grid strategy (`phase:strategy`).
+const STRATEGY_PHASES: [&str; 4] = ["detect", "repair", "model", "ml"];
+
+/// Whether a span name is a strategy invocation (`detect:raha`) rather
+/// than an internal span (`phase:setup`, `detect:features:fit`).
+fn is_strategy_span(name: &str) -> bool {
+    match name.split_once(':') {
+        Some((phase, rest)) => {
+            STRATEGY_PHASES.contains(&phase) && !rest.is_empty() && !rest.contains(':')
+        }
+        None => false,
+    }
+}
+
+/// The sorted, deduplicated strategy set a manifest exercised: strategy
+/// spans (from the rollup in summary mode — it covers every name — and
+/// the span stream otherwise) plus every failed cell's `phase:strategy`.
+fn manifest_strategies(manifest: &RunManifest) -> Vec<String> {
+    let mut set: Vec<String> = Vec::new();
+    let mut push = |name: String| {
+        if !set.contains(&name) {
+            set.push(name);
+        }
+    };
+    for rollup in &manifest.span_rollup {
+        if is_strategy_span(&rollup.name) {
+            push(rollup.name.clone());
+        }
+    }
+    for span in &manifest.spans {
+        if is_strategy_span(&span.name) {
+            push(span.name.clone());
+        }
+    }
+    for failure in &manifest.failures {
+        push(format!("{}:{}", failure.phase, failure.strategy));
+    }
+    set.sort();
+    set
+}
 
 /// One row of the per-strategy table, aggregated across every run
-/// manifest in the ledger.
+/// manifest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StrategyRow {
     /// `phase:strategy` name.
     pub strategy: String,
     /// Distinct runs (manifests) that exercised the strategy.
     pub runs: u64,
-    /// Completed invocations (spans) across those runs.
+    /// Guarded calls (closed spans) across those runs.
     pub invocations: u64,
-    /// Total wall-clock milliseconds across completed invocations.
+    /// Total wall-clock milliseconds across those calls.
     pub total_ms: f64,
     /// Largest single invocation.
     pub max_ms: f64,
@@ -38,15 +115,15 @@ pub struct StrategyRow {
 }
 
 impl StrategyRow {
-    /// Failures over attempts (completed invocations + failures), in
-    /// [0, 1]. A failed attempt never closes its span, so the two sets
-    /// are disjoint.
+    /// Failed calls over calls, in [0, 1]; 0 when nothing ran. The
+    /// guard closes a call's span on its failure path too (the
+    /// `guard:fail:*` instant is that span's child), so every failure
+    /// is already one of the invocations.
     pub fn failure_rate(&self) -> f64 {
-        let attempts = self.invocations + self.failures;
-        if attempts == 0 {
+        if self.invocations == 0 {
             0.0
         } else {
-            self.failures as f64 / attempts as f64
+            self.failures as f64 / self.invocations as f64
         }
     }
 }
@@ -103,21 +180,6 @@ impl CacheRow {
     }
 }
 
-/// One row of the generation trend table — what each ingest pass added.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TrendRow {
-    /// Ledger generation.
-    pub generation: u32,
-    /// Entries first seen at this generation.
-    pub entries: u64,
-    /// Spans those entries recorded.
-    pub spans: u64,
-    /// Guarded failures those entries recorded.
-    pub failures: u64,
-    /// Audit violations those entries carry.
-    pub violations: u64,
-}
-
 /// One row of the duration-percentile table: one histogram of one run
 /// manifest, straight from its recorded [`HistogramSummary`].
 ///
@@ -166,10 +228,8 @@ impl DiffRow {
 /// The fully computed report, ready to render.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Report {
-    /// Ledger generation the report describes.
-    pub generation: u32,
-    /// Entry counts per kind, sorted by kind.
-    pub kind_counts: BTreeMap<String, u64>,
+    /// Run manifests the report was built from.
+    pub manifests: u64,
     /// Per-strategy aggregate table, sorted by strategy.
     pub strategies: Vec<StrategyRow>,
     /// Guard-failure taxonomy, sorted by cell; only failing cells.
@@ -180,17 +240,44 @@ pub struct Report {
     /// Store cache effectiveness of every store-backed run, sorted by
     /// source; empty when no manifest recorded `store_*` counters.
     pub cache: Vec<CacheRow>,
-    /// Generation trend rows, oldest first.
-    pub trends: Vec<TrendRow>,
     /// Optional span-profile diff: `(label_a, label_b, rows)`.
     pub diff: Option<(String, String, Vec<DiffRow>)>,
 }
 
-fn load_manifest(root: &Path, source: &str) -> Result<RunManifest, String> {
+/// Reads and parses the run manifest at the repo-relative `source`.
+pub fn load_manifest(root: &Path, source: &str) -> Result<RunManifest, String> {
     let path = root.join(source);
     let text =
         std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
     RunManifest::from_json(&text).map_err(|e| format!("parse {}: {e}", path.display()))
+}
+
+/// Every run manifest under `<root>/artifacts/telemetry/`, parsed and
+/// paired with its repo-relative source, sorted by source (a missing
+/// directory is an empty scan). The report and `rein_trace` share it.
+pub fn run_manifests(root: &Path) -> Result<Vec<(String, RunManifest)>, String> {
+    let dir = root.join("artifacts").join("telemetry");
+    let entries = match std::fs::read_dir(&dir) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(format!("read dir {}: {e}", dir.display())),
+        Ok(entries) => entries,
+    };
+    let mut sources = Vec::new();
+    for entry in entries {
+        let path = entry.map_err(|e| format!("read dir {}: {e}", dir.display()))?.path();
+        if path.extension().is_some_and(|ext| ext == "json") {
+            let name = path.file_name().unwrap_or_default().to_string_lossy();
+            sources.push(format!("artifacts/telemetry/{name}"));
+        }
+    }
+    sources.sort();
+    sources
+        .into_iter()
+        .map(|source| {
+            let manifest = load_manifest(root, &source)?;
+            Ok((source, manifest))
+        })
+        .collect()
 }
 
 /// Name-level invocation stats of one manifest: `name -> (count,
@@ -216,20 +303,20 @@ fn name_stats(manifest: &RunManifest) -> BTreeMap<String, (u64, f64, f64)> {
 /// The manifest-derived tables of the report, in render order.
 type ManifestTables = (Vec<StrategyRow>, Vec<TaxonomyRow>, Vec<PercentileRow>, Vec<CacheRow>);
 
-/// Aggregates the per-strategy table and the failure taxonomy across
-/// every run manifest the index points at.
-fn strategy_tables(root: &Path, index: &LedgerIndex) -> Result<ManifestTables, String> {
+/// Aggregates the per-strategy table, the failure taxonomy, the
+/// percentile rows and the cache rows across `manifests`, given as
+/// `(source, manifest)` pairs in source order.
+fn manifest_tables(manifests: &[(String, RunManifest)]) -> ManifestTables {
     let mut rows: BTreeMap<String, StrategyRow> = BTreeMap::new();
     let mut taxonomy: BTreeMap<String, (FailureTaxonomy, Vec<String>)> = BTreeMap::new();
     let mut percentiles: Vec<PercentileRow> = Vec::new();
     let mut cache: Vec<CacheRow> = Vec::new();
-    for entry in index.entries.iter().filter(|e| e.kind == "run_manifest") {
-        let manifest = load_manifest(root, &entry.source)?;
-        let stats = name_stats(&manifest);
+    for (source, manifest) in manifests {
+        let stats = name_stats(manifest);
         let n = |name: &str| manifest.counters.get(name).copied().unwrap_or(0);
         if manifest.counters.keys().any(|k| k.starts_with("store_")) {
             cache.push(CacheRow {
-                source: entry.source.clone(),
+                source: source.clone(),
                 hits: n("store_hits"),
                 misses: n("store_misses"),
                 replayed: n("store_replayed"),
@@ -241,7 +328,7 @@ fn strategy_tables(root: &Path, index: &LedgerIndex) -> Result<ManifestTables, S
         for (name, summary) in &manifest.histograms {
             percentiles.push(PercentileRow {
                 histogram: name.clone(),
-                source: entry.source.clone(),
+                source: source.clone(),
                 count: summary.count,
                 p50_ms: summary.p50_ms,
                 p95_ms: summary.p95_ms,
@@ -249,7 +336,7 @@ fn strategy_tables(root: &Path, index: &LedgerIndex) -> Result<ManifestTables, S
                 max_ms: summary.max_ms,
             });
         }
-        for strategy in &entry.strategies {
+        for strategy in manifest_strategies(manifest) {
             let row = rows.entry(strategy.clone()).or_insert_with(|| StrategyRow {
                 strategy: strategy.clone(),
                 runs: 0,
@@ -259,7 +346,7 @@ fn strategy_tables(root: &Path, index: &LedgerIndex) -> Result<ManifestTables, S
                 failures: 0,
             });
             row.runs += 1;
-            if let Some(&(count, total_ms, max_ms)) = stats.get(strategy) {
+            if let Some(&(count, total_ms, max_ms)) = stats.get(&strategy) {
                 row.invocations += count;
                 row.total_ms += total_ms;
                 row.max_ms = row.max_ms.max(max_ms);
@@ -287,26 +374,7 @@ fn strategy_tables(root: &Path, index: &LedgerIndex) -> Result<ManifestTables, S
         .collect();
     percentiles.sort_by(|a, b| (&a.histogram, &a.source).cmp(&(&b.histogram, &b.source)));
     cache.sort_by(|a, b| a.source.cmp(&b.source));
-    Ok((rows.into_values().collect(), taxonomy, percentiles, cache))
-}
-
-/// Folds the index into per-generation trend rows (pure — no file IO).
-pub fn trend_rows(index: &LedgerIndex) -> Vec<TrendRow> {
-    let mut by_gen: BTreeMap<u32, TrendRow> = BTreeMap::new();
-    for e in &index.entries {
-        let row = by_gen.entry(e.generation).or_insert(TrendRow {
-            generation: e.generation,
-            entries: 0,
-            spans: 0,
-            failures: 0,
-            violations: 0,
-        });
-        row.entries += 1;
-        row.spans += e.summary.spans;
-        row.failures += e.summary.failures.total();
-        row.violations += e.summary.violations;
-    }
-    by_gen.into_values().collect()
+    (rows.into_values().collect(), taxonomy, percentiles, cache)
 }
 
 /// Computes the span-profile diff between two run manifests. When both
@@ -316,26 +384,14 @@ pub fn trend_rows(index: &LedgerIndex) -> Vec<TrendRow> {
 pub fn profile_diff(root: &Path, source_a: &str, source_b: &str) -> Result<Vec<DiffRow>, String> {
     let a = load_manifest(root, source_a)?;
     let b = load_manifest(root, source_b)?;
-    let stats = |m: &RunManifest| -> BTreeMap<String, (u64, f64)> {
-        if m.span_rollup.is_empty() {
-            span_profile(&m.spans).into_iter().map(|p| (p.path, (p.count, p.total_ms))).collect()
-        } else {
-            name_stats(m)
-                .into_iter()
-                .map(|(name, (count, total, _))| (name, (count, total)))
-                .collect()
-        }
-    };
-    let full_diff = a.span_rollup.is_empty() && b.span_rollup.is_empty();
-    let (stats_a, stats_b) = if full_diff {
-        (stats(&a), stats(&b))
+    let full = a.span_rollup.is_empty() && b.span_rollup.is_empty();
+    let stats: fn(&RunManifest) -> BTreeMap<String, (u64, f64)> = if full {
+        |m| span_profile(&m.spans).into_iter().map(|p| (p.path, (p.count, p.total_ms))).collect()
     } else {
         // Uniform detail on both sides: name-level rollup stats.
-        let name_level = |m: &RunManifest| {
-            name_stats(m).into_iter().map(|(n, (c, t, _))| (n, (c, t))).collect::<BTreeMap<_, _>>()
-        };
-        (name_level(&a), name_level(&b))
+        |m| name_stats(m).into_iter().map(|(n, (c, t, _))| (n, (c, t))).collect()
     };
+    let (stats_a, stats_b) = (stats(&a), stats(&b));
     let mut paths: Vec<&String> = stats_a.keys().chain(stats_b.keys()).collect();
     paths.sort();
     paths.dedup();
@@ -349,32 +405,16 @@ pub fn profile_diff(root: &Path, source_a: &str, source_b: &str) -> Result<Vec<D
         .collect())
 }
 
-/// Computes the full report for `index`, optionally with a span-profile
-/// diff between two manifest sources.
-pub fn build_report(
-    root: &Path,
-    index: &LedgerIndex,
-    diff: Option<(&str, &str)>,
-) -> Result<Report, String> {
-    let mut kind_counts: BTreeMap<String, u64> = BTreeMap::new();
-    for e in &index.entries {
-        *kind_counts.entry(e.kind.clone()).or_insert(0) += 1;
-    }
-    let (strategies, taxonomy, percentiles, cache) = strategy_tables(root, index)?;
+/// Computes the full report over every run manifest under `root`,
+/// optionally with a span-profile diff between two manifest sources.
+pub fn build_report(root: &Path, diff: Option<(&str, &str)>) -> Result<Report, String> {
+    let manifests = run_manifests(root)?;
+    let (strategies, taxonomy, percentiles, cache) = manifest_tables(&manifests);
     let diff = match diff {
         None => None,
         Some((a, b)) => Some((a.to_string(), b.to_string(), profile_diff(root, a, b)?)),
     };
-    Ok(Report {
-        generation: index.generation,
-        kind_counts,
-        strategies,
-        taxonomy,
-        percentiles,
-        cache,
-        trends: trend_rows(index),
-        diff,
-    })
+    Ok(Report { manifests: manifests.len() as u64, strategies, taxonomy, percentiles, cache, diff })
 }
 
 fn fmt_ms(ms: f64) -> String {
@@ -400,12 +440,9 @@ impl Report {
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();
         out.push_str("# REIN observability ledger report\n\n");
-        let kinds: Vec<String> = self.kind_counts.iter().map(|(k, n)| format!("{n} {k}")).collect();
         out.push_str(&format!(
-            "Generation {} — {} entries ({}).\n",
-            self.generation,
-            self.kind_counts.values().sum::<u64>(),
-            kinds.join(", ")
+            "Built from {} run manifests under `artifacts/telemetry/`.\n",
+            self.manifests
         ));
 
         out.push_str("\n## Per-strategy cost and failures\n\n");
@@ -491,16 +528,6 @@ impl Report {
             }
         }
 
-        out.push_str("\n## Generation trends\n\n");
-        out.push_str("| generation | entries added | spans | failures | violations |\n");
-        out.push_str("|---:|---:|---:|---:|---:|\n");
-        for t in &self.trends {
-            out.push_str(&format!(
-                "| {} | {} | {} | {} | {} |\n",
-                t.generation, t.entries, t.spans, t.failures, t.violations
-            ));
-        }
-
         if let Some((a, b, rows)) = &self.diff {
             out.push_str(&format!("\n## Span profile diff\n\nA = `{a}`, B = `{b}`.\n\n"));
             out.push_str("| span path | A count | B count | A ms | B ms | Δ ms |\n");
@@ -540,13 +567,9 @@ impl Report {
              </style>\n</head>\n<body>\n",
         );
         out.push_str("<h1>REIN observability ledger report</h1>\n");
-        let kinds: Vec<String> =
-            self.kind_counts.iter().map(|(k, n)| format!("{n} {}", esc(k))).collect();
         out.push_str(&format!(
-            "<p>Generation {} — {} entries ({}).</p>\n",
-            self.generation,
-            self.kind_counts.values().sum::<u64>(),
-            kinds.join(", ")
+            "<p>Built from {} run manifests under <code>artifacts/telemetry/</code>.</p>\n",
+            self.manifests
         ));
 
         out.push_str(
@@ -660,19 +683,6 @@ impl Report {
             out.push_str("</table>\n");
         }
 
-        out.push_str(
-            "<h2>Generation trends</h2>\n<table>\n<tr><th>generation</th><th>entries added</th>\
-             <th>spans</th><th>failures</th><th>violations</th></tr>\n",
-        );
-        for t in &self.trends {
-            out.push_str(&format!(
-                "<tr><td class=\"n\">{}</td><td class=\"n\">{}</td><td class=\"n\">{}</td>\
-                 <td class=\"n\">{}</td><td class=\"n\">{}</td></tr>\n",
-                t.generation, t.entries, t.spans, t.failures, t.violations
-            ));
-        }
-        out.push_str("</table>\n");
-
         if let Some((a, b, rows)) = &self.diff {
             out.push_str(&format!(
                 "<h2>Span profile diff</h2>\n<p>A = <code>{}</code>, B = <code>{}</code>.</p>\n",
@@ -717,60 +727,166 @@ fn esc(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::{EntrySummary, LedgerEntry};
-    use std::collections::BTreeMap;
+    use rein_telemetry::{FailureRecord, RunConfig, SpanRecord, SpanRollup};
 
-    fn entry(kind: &str, key: &str, generation: u32, spans: u64) -> LedgerEntry {
-        LedgerEntry {
-            key: key.to_string(),
-            kind: kind.to_string(),
-            source: format!("{key}.json"),
-            bin: "fig2".to_string(),
-            seed: 11,
-            scale: 0.05,
-            threads: 1,
-            mode: "full".to_string(),
-            strategies: Vec::new(),
-            generation,
-            summary: EntrySummary { spans, ..EntrySummary::default() },
+    fn span(name: &str, id: u64, parent_id: u64, instant: bool) -> SpanRecord {
+        SpanRecord {
+            name: name.into(),
+            id,
+            parent_id,
+            depth: 0,
+            start_ms: 0.0,
+            duration_ms: if instant { 0.0 } else { 1.0 },
+            trace_id: 0,
+            instant,
         }
     }
 
-    #[test]
-    fn trend_rows_group_by_generation() {
-        let index = LedgerIndex {
-            schema: 1,
-            generation: 2,
-            entries: vec![
-                entry("run_manifest", "aa", 1, 10),
-                entry("run_manifest", "bb", 1, 5),
-                entry("audit_report", "cc", 2, 0),
-            ],
-        };
-        let trends = trend_rows(&index);
-        assert_eq!(trends.len(), 2);
-        assert_eq!((trends[0].generation, trends[0].entries, trends[0].spans), (1, 2, 15));
-        assert_eq!((trends[1].generation, trends[1].entries), (2, 1));
+    fn failure(strategy: &str, cause: &str) -> FailureRecord {
+        FailureRecord {
+            phase: "detect".into(),
+            strategy: strategy.into(),
+            dataset: "beers".into(),
+            scope: String::new(),
+            cause: cause.into(),
+            attempts: 1,
+            elapsed_ms: 3.0,
+            trace_id: String::new(),
+        }
+    }
+
+    fn manifest(spans: Vec<SpanRecord>, failures: Vec<FailureRecord>) -> RunManifest {
+        RunManifest {
+            binary: "fig2_detection".into(),
+            config: RunConfig { scale: 0.05, repeats: 3, seed: 11, label_budget: 100, threads: 2 },
+            mode: "full".into(),
+            spans,
+            span_rollup: Vec::new(),
+            counters: BTreeMap::new(),
+            histograms: BTreeMap::new(),
+            failures,
+        }
+    }
+
+    fn strategy_row<'a>(rows: &'a [StrategyRow], strategy: &str) -> &'a StrategyRow {
+        rows.iter().find(|r| r.strategy == strategy).unwrap_or_else(|| panic!("no {strategy} row"))
     }
 
     #[test]
-    fn failure_rate_counts_failures_as_extra_attempts() {
-        let row = StrategyRow {
-            strategy: "detect:raha".into(),
-            runs: 1,
-            invocations: 3,
-            total_ms: 1.0,
-            max_ms: 1.0,
-            failures: 1,
-        };
-        assert!((row.failure_rate() - 0.25).abs() < 1e-12);
+    fn taxonomy_classifies_guard_causes() {
+        let mut t = FailureTaxonomy::default();
+        t.count("panic: chaos: injected panic for detect:raha");
+        t.count("budget exhausted: 15 of 10 ticks");
+        t.count("transient failure persisted: still down");
+        t.count("invalid output: nonzero 7");
+        t.count("something new");
+        assert_eq!(t.panics, 1);
+        assert_eq!(t.deadlines, 1);
+        assert_eq!(t.retries, 1);
+        assert_eq!(t.corrupt, 2);
+        assert_eq!(t.total(), 5);
+    }
+
+    #[test]
+    fn strategies_come_from_spans_and_failures_only() {
+        let m = manifest(
+            vec![
+                span("phase:setup", 1, 0, false),
+                span("detect:raha", 2, 1, false),
+                span("detect:raha", 3, 1, false),
+                span("detect:features:fit", 4, 3, false),
+                span("repair:impute_mean_mode", 5, 1, false),
+            ],
+            vec![failure("zeroed", "budget exhausted: 12 of 10 ticks")],
+        );
+        assert_eq!(
+            manifest_strategies(&m),
+            ["detect:raha", "detect:zeroed", "repair:impute_mean_mode"],
+            "phase/controller/nested spans are excluded, failed strategies included"
+        );
+    }
+
+    #[test]
+    fn summary_mode_counts_through_the_rollup() {
+        let mut m = manifest(vec![span("detect:raha", 1, 0, false)], Vec::new());
+        m.mode = "summary".into();
+        m.span_rollup = vec![
+            SpanRollup {
+                name: "detect:raha".into(),
+                count: 40,
+                total_ms: 40.0,
+                max_ms: 2.0,
+                dropped: 36,
+            },
+            SpanRollup {
+                name: "phase:setup".into(),
+                count: 1,
+                total_ms: 1.0,
+                max_ms: 1.0,
+                dropped: 0,
+            },
+        ];
+        let (rows, _, _, _) = manifest_tables(&[("a.json".into(), m)]);
+        assert_eq!(rows.len(), 1, "phase spans are not strategies");
+        let raha = strategy_row(&rows, "detect:raha");
+        assert_eq!(raha.invocations, 40, "rollup counts cover the dropped spans");
+        assert_eq!((raha.total_ms, raha.max_ms), (40.0, 2.0));
+    }
+
+    #[test]
+    fn failure_rate_is_failed_calls_over_calls() {
+        // What the guard records for three calls of which the second
+        // panics: three closed strategy spans, a `guard:fail:panic`
+        // instant under the failed one, and one failure record.
+        let m = manifest(
+            vec![
+                span("detect:x", 1, 0, false),
+                span("detect:x", 2, 0, false),
+                span("guard:fail:panic", 3, 2, true),
+                span("detect:x", 4, 0, false),
+            ],
+            vec![failure("x", "panic: boom")],
+        );
+        let (rows, taxonomy, _, _) = manifest_tables(&[("a.json".into(), m)]);
+        let x = strategy_row(&rows, "detect:x");
+        assert_eq!((x.invocations, x.failures), (3, 1));
+        assert!((x.failure_rate() - 1.0 / 3.0).abs() < 1e-12, "rate {}", x.failure_rate());
+        assert_eq!(taxonomy[0].taxonomy.panics, 1);
+        let idle = StrategyRow { invocations: 0, failures: 0, ..x.clone() };
+        assert_eq!(idle.failure_rate(), 0.0);
+    }
+
+    #[test]
+    fn a_deleted_manifest_leaves_the_report() {
+        let dir = std::env::temp_dir().join(format!("rein-ledger-scan-{}", std::process::id()));
+        let _cleanup = std::fs::remove_dir_all(&dir);
+        let telemetry = dir.join("artifacts/telemetry");
+        std::fs::create_dir_all(&telemetry).expect("temp dir");
+        for seed in [11, 12] {
+            let mut m = manifest(vec![span("detect:raha", 1, 0, false)], Vec::new());
+            m.config.seed = seed;
+            let path = telemetry.join(format!("fig2_detection-{seed}.json"));
+            std::fs::write(path, m.to_json()).expect("manifest written");
+        }
+        let report = build_report(&dir, None).expect("first report");
+        let raha = strategy_row(&report.strategies, "detect:raha");
+        assert_eq!((report.manifests, raha.runs, raha.invocations), (2, 2, 2));
+
+        std::fs::remove_file(telemetry.join("fig2_detection-12.json")).expect("remove");
+        let report = build_report(&dir, None).expect("report after removal");
+        let raha = strategy_row(&report.strategies, "detect:raha");
+        assert_eq!(
+            (report.manifests, raha.runs, raha.invocations),
+            (1, 1, 1),
+            "the deleted manifest's runs and invocations must go"
+        );
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]
     fn rendering_is_deterministic_and_escaped() {
         let report = Report {
-            generation: 1,
-            kind_counts: BTreeMap::from([("run_manifest".to_string(), 1)]),
+            manifests: 1,
             strategies: vec![StrategyRow {
                 strategy: "detect:a<b".into(),
                 runs: 1,
@@ -802,7 +918,6 @@ mod tests {
                 commits: 0,
                 divergence: 0,
             }],
-            trends: Vec::new(),
             diff: None,
         };
         let html = report.to_html();
@@ -845,15 +960,35 @@ mod tests {
     }
 
     #[test]
+    fn every_committed_manifest_parses_and_the_report_builds() {
+        // The committed manifests are themselves the fixture: every one
+        // must parse, and the report over them must build.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let manifests = run_manifests(&root).expect("committed manifests parse");
+        assert!(manifests.len() >= 10, "telemetry manifests: {}", manifests.len());
+        let on_disk = std::fs::read_dir(root.join("artifacts/telemetry"))
+            .expect("telemetry dir")
+            .filter(|e| {
+                e.as_ref().expect("dir entry").path().extension().is_some_and(|x| x == "json")
+            })
+            .count();
+        assert_eq!(manifests.len(), on_disk, "a committed manifest was skipped");
+        // One sorted scan: every source unique and in order.
+        let sources: Vec<&str> = manifests.iter().map(|(s, _)| s.as_str()).collect();
+        assert!(sources.windows(2).all(|w| w[0] < w[1]), "scan is sorted and unique");
+        let report = build_report(&root, None).expect("report builds");
+        assert_eq!(report.manifests, manifests.len() as u64);
+        assert!(report.diff.is_none());
+    }
+
+    #[test]
     fn report_over_committed_artifacts_builds_and_diffs() {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let mut index = LedgerIndex::default();
-        assert!(index.apply(crate::ingest::ingest_repo(&root).expect("ingest")));
         let diff = (
             "artifacts/telemetry/fig2_detection-11.json",
             "artifacts/telemetry/chaos_smoke-29.json",
         );
-        let report = build_report(&root, &index, Some(diff)).expect("report builds");
+        let report = build_report(&root, Some(diff)).expect("report builds");
         assert!(!report.strategies.is_empty());
         assert!(
             report.strategies.iter().any(|r| r.strategy.starts_with("detect:")),
@@ -862,7 +997,7 @@ mod tests {
         let (_, _, rows) = report.diff.as_ref().expect("diff present");
         assert!(!rows.is_empty());
         // Determinism: building twice renders byte-identical output.
-        let again = build_report(&root, &index, Some(diff)).expect("report builds again");
+        let again = build_report(&root, Some(diff)).expect("report builds again");
         assert_eq!(report.to_markdown(), again.to_markdown());
         assert_eq!(report.to_html(), again.to_html());
     }

@@ -11,8 +11,7 @@
 //! * `<stem>.flame.svg` — a dependency-free flamegraph of the merged
 //!   cell trees.
 //! * `<stem>.cells.json` — the typed [`TraceExport`]: per-cell tick,
-//!   span, failure and retry costs, ranked hottest-failing first. This
-//!   is the file the ledger ingests (see [`trace_entry`]).
+//!   span, failure and retry costs, ranked hottest-failing first.
 
 use std::path::{Path, PathBuf};
 
@@ -20,16 +19,8 @@ use rein_telemetry::{build_traces, cell_costs, chrome_trace_json, flamegraph_svg
 use rein_telemetry::{RunManifest, TraceForest};
 use serde::{Deserialize, Serialize};
 
-use crate::hash::{content_key, run_identity};
-use crate::index::{EntrySummary, LedgerEntry};
-
 /// Schema version stamped into `.cells.json` exports.
 pub const TRACE_SCHEMA: u32 = 1;
-
-/// Directory trace exports live in, relative to the repo root.
-pub fn trace_dir(root: &Path) -> PathBuf {
-    root.join("artifacts").join("trace")
-}
 
 /// The typed `.cells.json` export: run identity plus the deterministic
 /// per-cell cost/failure table.
@@ -76,7 +67,7 @@ pub fn export_manifest(manifest: &RunManifest) -> (TraceForest, TraceExport) {
 }
 
 /// Serializes a [`TraceExport`] to its on-disk form: pretty JSON with a
-/// trailing newline, like every other ledger artifact.
+/// trailing newline.
 pub fn export_json(export: &TraceExport) -> String {
     let mut text = serde_json::to_string_pretty(export).unwrap_or_else(|e|
         // audit:allow(panic, serializing plain owned data cannot fail)
@@ -93,7 +84,7 @@ pub fn write_exports(
     stem: &str,
     manifest: &RunManifest,
 ) -> Result<[PathBuf; 3], String> {
-    let dir = trace_dir(root);
+    let dir = root.join("artifacts").join("trace");
     std::fs::create_dir_all(&dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
     let (forest, export) = export_manifest(manifest);
     let chrome = dir.join(format!("{stem}.trace.json"));
@@ -106,37 +97,6 @@ pub fn write_exports(
     std::fs::write(&cells, export_json(&export))
         .map_err(|e| format!("write {}: {e}", cells.display()))?;
     Ok([chrome, flame, cells])
-}
-
-/// Builds the ledger entry for one `.cells.json` export. The identity
-/// is (bin, seed, scale, sorted cell names) — tick costs are volatile
-/// only in the sense that code growth changes them, and a changed cell
-/// set is a different grid, so the set (not the costs) keys the entry.
-pub fn trace_entry(export: &TraceExport, source: &str) -> LedgerEntry {
-    let mut cell_names: Vec<String> = export.cells.iter().map(|c| c.cell.clone()).collect();
-    cell_names.sort();
-    cell_names.dedup();
-    let key = content_key(&run_identity(
-        "trace_export",
-        &export.binary,
-        export.seed,
-        export.scale,
-        &cell_names,
-    ));
-    let spans: u64 = export.cells.iter().map(|c| c.spans + c.instants).sum();
-    LedgerEntry {
-        key,
-        kind: "trace_export".to_string(),
-        source: source.to_string(),
-        bin: export.binary.clone(),
-        seed: export.seed,
-        scale: export.scale,
-        threads: export.threads,
-        mode: String::new(),
-        strategies: cell_names,
-        generation: 0,
-        summary: EntrySummary { spans, span_names: export.traces, ..EntrySummary::default() },
-    }
 }
 
 #[cfg(test)]
@@ -199,22 +159,5 @@ mod tests {
         let back: TraceExport = serde_json::from_str(&text).expect("export parses back");
         assert_eq!(back, export);
         assert_eq!(export_json(&back), text, "re-serialization is byte-identical");
-    }
-
-    #[test]
-    fn trace_entries_key_on_cell_set_not_costs() {
-        let m = manifest();
-        let (_, a) = export_manifest(&m);
-        let mut costlier = a.clone();
-        costlier.cells[0].ticks += 100;
-        let ea = trace_entry(&a, "artifacts/trace/x.cells.json");
-        let eb = trace_entry(&costlier, "artifacts/trace/x.cells.json");
-        assert_eq!(ea.key, eb.key, "tick costs are not identity");
-        assert_eq!(ea.kind, "trace_export");
-        assert_eq!(ea.summary.span_names, 2, "trace count lands in span_names");
-        let mut fewer = a.clone();
-        fewer.cells.pop();
-        let ec = trace_entry(&fewer, "artifacts/trace/x.cells.json");
-        assert_ne!(ea.key, ec.key, "the cell set is identity");
     }
 }

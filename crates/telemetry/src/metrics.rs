@@ -121,12 +121,15 @@ impl Histogram {
 
     /// Approximate `q`-quantile (`0.0 ..= 1.0`) in nanoseconds, by
     /// linear interpolation inside the bucket containing the target
-    /// rank. Returns 0.0 for an empty histogram.
+    /// rank, clamped to the exact maximum (a few observations low in a
+    /// wide bucket would otherwise interpolate far above it). Returns
+    /// 0.0 for an empty histogram.
     pub fn quantile_ns(&self, q: f64) -> f64 {
         let count = self.count();
         if count == 0 {
             return 0.0;
         }
+        let max = self.0.max_ns.load(Ordering::Relaxed) as f64;
         let target = q.clamp(0.0, 1.0) * count as f64;
         let mut cumulative = 0u64;
         for (i, bucket) in self.0.buckets.iter().enumerate() {
@@ -138,11 +141,11 @@ impl Histogram {
                 let (lo, hi) = bucket_bounds(i);
                 let rank_in_bucket = (target - cumulative as f64).max(0.0);
                 let fraction = (rank_in_bucket / in_bucket as f64).clamp(0.0, 1.0);
-                return lo + (hi - lo) * fraction;
+                return (lo + (hi - lo) * fraction).min(max);
             }
             cumulative += in_bucket;
         }
-        self.0.max_ns.load(Ordering::Relaxed) as f64
+        max
     }
 
     /// Snapshot of derived statistics.
@@ -236,9 +239,21 @@ mod tests {
         assert!(s.p50_ms <= s.p90_ms, "p50 {} > p90 {}", s.p50_ms, s.p90_ms);
         assert!(s.p90_ms <= s.p95_ms, "p90 {} > p95 {}", s.p90_ms, s.p95_ms);
         assert!(s.p95_ms <= s.p99_ms, "p95 {} > p99 {}", s.p95_ms, s.p99_ms);
-        // Bucket interpolation may overshoot the exact max by up to one
-        // bucket's width.
-        assert!(s.p99_ms <= s.max_ms * 1.05, "p99 {} > max {}", s.p99_ms, s.max_ms);
+        assert!(s.p99_ms <= s.max_ms, "p99 {} > max {}", s.p99_ms, s.max_ms);
+    }
+
+    #[test]
+    fn percentiles_never_exceed_the_exact_max() {
+        // All three land low in the [2^20, 2^21) ns bucket, whose upper
+        // bound is ~2.1 ms: unclamped interpolation reads p99 ≈ 2.087 ms.
+        let h = histogram("test:percentile_clamp");
+        for us in [1100, 1200, 1300] {
+            h.record(Duration::from_micros(us));
+        }
+        let s = h.summary();
+        assert!((s.max_ms - 1.3).abs() < 1e-9, "max {}", s.max_ms);
+        assert!(s.p95_ms <= s.max_ms, "p95 {} > max {}", s.p95_ms, s.max_ms);
+        assert!(s.p99_ms <= s.max_ms, "p99 {} > max {}", s.p99_ms, s.max_ms);
     }
 
     #[test]

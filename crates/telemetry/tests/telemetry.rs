@@ -123,7 +123,7 @@ fn histogram_percentiles_land_in_the_right_buckets() {
     assert!((2.0..4.3).contains(&s.p90_ms), "p90 {}", s.p90_ms);
     assert!((8.3..16.8).contains(&s.p99_ms), "p99 {}", s.p99_ms);
     // Monotone.
-    assert!(s.p50_ms <= s.p90_ms && s.p90_ms <= s.p99_ms && s.p99_ms <= s.max_ms * 1.05);
+    assert!(s.p50_ms <= s.p90_ms && s.p90_ms <= s.p99_ms && s.p99_ms <= s.max_ms);
 }
 
 #[test]

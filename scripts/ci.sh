@@ -81,13 +81,13 @@ if [ "$parallel_cells_sum" != "$PARALLEL_CELLS_SHA256" ]; then
 fi
 echo "parallel grid dump matches its pinned sha256"
 
-echo "==> trace exports from the smoke manifests (double run must be byte-identical; ledger must register)"
+echo "==> trace exports from the smoke manifests (double run must be byte-identical)"
 # The smoke runs above rewrote their manifests; render the causal trace
 # exports (Chrome trace JSON, flamegraph SVG, per-cell cost table) of
 # every manifest that carries cell traces, twice, and hash-compare — the
 # exports are pure functions of the manifest bytes, so any drift is
 # nondeterminism. rein_trace exits 4 on orphan spans (an incomplete
-# causal tree) and re-ingests the ledger.
+# causal tree).
 cargo run -q --release -p rein-ledger --bin rein_trace
 first_trace=$(sha256sum artifacts/trace/*)
 cargo run -q --release -p rein-ledger --bin rein_trace
@@ -99,20 +99,16 @@ if [ "$first_trace" != "$second_trace" ]; then
   exit 1
 fi
 echo "trace exports byte-identical across a double run"
-if ! grep -q '"kind": "trace_export"' artifacts/ledger/index.json; then
-  echo "ledger index carries no trace_export entries after rein_trace"
-  exit 1
-fi
 
-echo "==> ledger report (ingest this run's artifacts; must be a deterministic no-op twice)"
-# Runs after the smokes and trace exports, so the report covers the
-# manifests and trace_export entries this run just wrote.
+echo "==> ledger report (built from this run's manifests; two runs must be byte-identical)"
+# Runs after the smokes, so the report covers the manifests this run
+# just wrote.
 cargo run -q --release -p rein-ledger --bin rein_report -- --out artifacts/ledger \
   --diff artifacts/telemetry/chaos_smoke-29.json artifacts/telemetry/fig5_repair_numerical-61.json
-first_sum=$(sha256sum artifacts/ledger/index.json artifacts/ledger/report.md artifacts/ledger/report.html)
+first_sum=$(sha256sum artifacts/ledger/report.md artifacts/ledger/report.html)
 cargo run -q --release -p rein-ledger --bin rein_report -- --out artifacts/ledger \
   --diff artifacts/telemetry/chaos_smoke-29.json artifacts/telemetry/fig5_repair_numerical-61.json
-second_sum=$(sha256sum artifacts/ledger/index.json artifacts/ledger/report.md artifacts/ledger/report.html)
+second_sum=$(sha256sum artifacts/ledger/report.md artifacts/ledger/report.html)
 if [ "$first_sum" != "$second_sum" ]; then
   echo "ledger outputs changed between two identical runs:"
   echo "$first_sum"
