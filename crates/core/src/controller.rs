@@ -16,10 +16,11 @@ use rein_repair::{RepairCategory, RepairKind};
 use rein_store::{CrashPoint, Store, StoreWriter};
 use rein_telemetry::SpanCtx;
 
+use crate::cache_key::CellKey;
 use crate::evaluate::{
     eval_classifier_guarded, eval_clusterer, eval_regressor_guarded, repair_quality_categorical,
     repair_quality_numerical, replay_detector_run, run_repair_guarded, table_identity,
-    DetectorHarness, DetectorRun, RepairRun, VersionTable,
+    version_identity, DetectorHarness, DetectorRun, RepairRun, VersionTable,
 };
 use crate::experiment::{DetectionRecord, RepairRecord};
 use crate::scenario::Scenario;
@@ -55,8 +56,6 @@ pub struct Controller {
     pub policy: GuardPolicy,
     /// Dataset scale factor the grid runs at — a [`CellKey`]
     /// component, so it participates in every cell's trace id.
-    ///
-    /// [`CellKey`]: crate::cache_key::CellKey
     pub scale: f64,
     /// Opt-in live progress heartbeat (`REIN_PROGRESS`, plumbed by
     /// rein-bench): when true, the grid's sequential merge points print
@@ -168,20 +167,28 @@ impl Controller {
     ) -> BTreeMap<String, String> {
         let _span = rein_telemetry::span("controller:grid");
         let grid = Grid::new(self, self.store.as_deref(), ds);
-        let mut cells = BTreeMap::new();
+        let mut cells = Vec::new();
         for (det_ix, det) in grid.detect_phase().into_iter().enumerate() {
             // audit:allow(seed-provenance, det only names the guard scope; every repair seed derives from self.seed and the repair kind in Grid::repair_phase)
             let mut repairs = grid.repair_phase(&det.run);
             // audit:allow(seed-provenance, det names the guard scope and det_ix the plan position; eval seeds derive from self.seed and the cell coordinates in Grid::eval_phase)
             let evals = grid.eval_phase(&det.run, det_ix, &mut repairs, scenarios, repeats);
-            // The payloads were built on pool workers. Copying them on this
-            // thread keeps the long-lived map out of the workers' malloc
-            // arenas, which otherwise stay pinned and raise peak RSS.
-            cells.insert(det.id.coordinate, det.payload.clone());
-            cells
-                .extend(repairs.into_iter().map(|cell| (cell.id.coordinate, cell.payload.clone())));
-            cells.extend(evals.into_iter().map(|cell| (cell.id.coordinate, cell.payload.clone())));
+            // The map's copy of each payload is the grid's only one: a hit
+            // shares the store's bytes and a miss the bytes its worker
+            // built. Copying on this thread also keeps the long-lived map
+            // out of the pool workers' malloc arenas, which otherwise stay
+            // pinned and raise peak RSS.
+            cells.push((det.id.coordinate, String::from(&*det.payload)));
+            cells.extend(
+                repairs.into_iter().map(|cell| (cell.id.coordinate, String::from(&*cell.payload))),
+            );
+            cells.extend(
+                evals.into_iter().map(|cell| (cell.id.coordinate, String::from(&*cell.payload))),
+            );
         }
+        // Coordinates are unique, so building the map once from all the
+        // cells loses none.
+        let cells: BTreeMap<String, String> = cells.into_iter().collect();
         self.emit_progress(&format!(
             "dataset={} grid complete cells={}",
             ds.info.name,
@@ -201,9 +208,9 @@ impl Controller {
         }
     }
 
-    /// The canonical cache key of one grid cell, exactly as the
-    /// ROADMAP's content-addressed incremental store will compute it.
-    /// `strategy` is the cell's `run_grid` coordinate string
+    /// The canonical cache key of one grid cell: the key
+    /// [`Controller::run_grid`] hashes into each cell's store digest and
+    /// trace id. `strategy` is the cell's `run_grid` coordinate string
     /// (`detect:…`, `repair:…#…` or `eval:…:…#…`), `dataset_version`
     /// the consumed version's [`VersionTable::content_identity`] (the
     /// dirty table's identity for detection cells), `cell_seed` the
@@ -211,22 +218,23 @@ impl Controller {
     /// factor. rein-audit's `cache-key-completeness` rule certifies the
     /// cell-compute entry points pure against exactly these components
     /// (DESIGN.md §6h), so a key hit is provably a byte-identical
-    /// recompute.
-    pub fn cell_key(
+    /// recompute. The grid builds the same key from borrowed components
+    /// and a guard policy rendered once per run.
+    pub fn cell_key<'a>(
         &self,
-        ds: &GeneratedDataset,
-        dataset_version: &str,
-        strategy: &str,
+        ds: &'a GeneratedDataset,
+        dataset_version: &'a str,
+        strategy: &'a str,
         scale: f64,
         cell_seed: u64,
-    ) -> crate::cache_key::CellKey {
-        crate::cache_key::CellKey {
-            dataset: ds.info.name.clone(),
-            dataset_version: dataset_version.to_string(),
-            strategy: strategy.to_string(),
+    ) -> CellKey<'a> {
+        CellKey {
+            dataset: ds.info.name.as_str().into(),
+            dataset_version: dataset_version.into(),
+            strategy: strategy.into(),
             seed: cell_seed,
             scale,
-            guard_policy: self.policy.cache_identity(),
+            guard_policy: self.policy.cache_identity().into(),
         }
     }
 
@@ -340,6 +348,9 @@ struct Grid<'a> {
     /// Content identity of the dirty table: the `dataset_version` key
     /// component of every detect and repair cell.
     dirty_id: String,
+    /// The guard policy's cache identity, rendered once per grid: the
+    /// `guard_policy` key component of every cell.
+    guard_policy: String,
 }
 
 /// A phase's looked-up cells in plan order, `None` where the store
@@ -356,12 +367,14 @@ impl<'a> Grid<'a> {
             detectors,
             repairers: generic_repairers.into_iter().chain(ml_repairers).collect(),
             dirty_id: table_identity(&ds.dirty),
+            guard_policy: ctrl.policy.cache_identity(),
         }
     }
 
     /// The detection phase: every planned detector. A stored mask
     /// replays without running the detector ([`replay_detector_run`]);
-    /// one that fails to parse back into a mask is a miss, never trusted.
+    /// one that fails to parse back into a mask of the dirty table's
+    /// shape is a miss, never trusted.
     fn detect_phase(&self) -> Vec<CellRecord<DetectorRun>> {
         let span = rein_telemetry::span("controller:detect");
         let ids = self
@@ -372,9 +385,11 @@ impl<'a> Grid<'a> {
                 self.cell_id(&self.dirty_id, format!("detect:{}", kind.name()), seed)
             })
             .collect();
+        let (rows, cols) = (self.ds.dirty.n_rows(), self.ds.dirty.n_cols());
         let lookup = self.lookup(ids, |i, payload| {
             let mask: CellMask = serde_json::from_str(payload).ok()?;
-            Some(replay_detector_run(self.ds, self.detectors[i], mask))
+            mask.has_shape(rows, cols)
+                .then(|| replay_detector_run(self.ds, self.detectors[i], mask))
         });
         self.compute(
             "phase=detect",
@@ -413,8 +428,8 @@ impl<'a> Grid<'a> {
             |i, id| {
                 // audit:allow(seed-provenance, id.seed was derived from self.seed and the repair kind when the cell's identity was built)
                 let run = self.repair_cell(det, i, id);
-                let version_id = run.version.as_ref().map(|v| v.content_identity());
-                (repair_payload(&run), version_id, Some(run))
+                let (payload, version_id) = repair_payload(&run);
+                (payload, version_id, Some(run))
             },
             |cell| cell.run.as_ref().is_some_and(|run| run.failure.is_some()),
         )
@@ -479,7 +494,7 @@ impl<'a> Grid<'a> {
             rein_telemetry::counter("store_rehydrated").add(rehydrated.len() as u64);
         }
         for (ri, run) in rehydrated {
-            if repair_payload(&run) != repairs[ri].payload {
+            if repair_payload(&run).0 != *repairs[ri].payload {
                 rein_telemetry::counter("store_divergence").incr();
             }
             repairs[ri].run = Some(run);
@@ -501,17 +516,25 @@ impl<'a> Grid<'a> {
     }
 
     /// Builds one cell's identity: a single [`CellKey`] whose hash is
-    /// both the trace id and, as hex, the store digest.
-    ///
-    /// [`CellKey`]: crate::cache_key::CellKey
+    /// both the trace id and, as hex, the store digest. The key borrows
+    /// every component, so hashing it allocates nothing.
     fn cell_id(&self, dataset_version: &str, coordinate: String, seed: u64) -> CellId {
-        let key = self.ctrl.cell_key(self.ds, dataset_version, &coordinate, self.ctrl.scale, seed);
-        CellId { coordinate, seed, trace: key.hash() }
+        let key = CellKey {
+            dataset: self.ds.info.name.as_str().into(),
+            dataset_version: dataset_version.into(),
+            strategy: coordinate.as_str().into(),
+            seed,
+            scale: self.ctrl.scale,
+            guard_policy: self.guard_policy.as_str().into(),
+        };
+        let trace = key.hash();
+        CellId { coordinate, seed, trace }
     }
 
     /// Looks each cell up in the store, one by one in plan order.
     /// `replay` turns a stored payload into the phase's run, or rejects
-    /// it as a miss with `None`.
+    /// it as a miss with `None`. A hit's record shares the store's
+    /// payload and aux bytes.
     fn lookup<R>(&self, ids: Vec<CellId>, replay: impl Fn(usize, &str) -> Option<R>) -> Lookup<R> {
         let (mut cells, mut misses) = (Vec::with_capacity(ids.len()), Vec::new());
         for (i, id) in ids.into_iter().enumerate() {
@@ -533,6 +556,8 @@ impl<'a> Grid<'a> {
     /// computed cells at the phase's merge point and prints the phase's
     /// progress line. `compute_cell` returns a miss's payload, aux
     /// identity and run; `failed` picks the cells counted as degraded.
+    /// The worker moves each payload into one shared allocation, which
+    /// the staged record, the store's index and the cell record all hold.
     /// Store counters move only when a store is attached.
     fn compute<R: Send>(
         &self,
@@ -554,8 +579,10 @@ impl<'a> Grid<'a> {
             .map(|(i, id)| {
                 let _worker = id.trace_root(parent);
                 let (payload, aux, run) = compute_cell(i, &id);
+                let (payload, aux): (Arc<str>, Option<Arc<str>>) =
+                    (payload.into(), aux.map(Into::into));
                 if let Some(writer) = &writer {
-                    writer.stage(&id.digest(), &id.coordinate, &payload, aux.as_deref());
+                    writer.stage(&id.digest(), &id.coordinate, payload.clone(), aux.clone());
                 }
                 (i, CellRecord { id, payload, aux, run })
             })
@@ -599,9 +626,14 @@ struct CellId {
 }
 
 impl CellId {
-    /// The store digest: the same hash as `CellKey::content_key`.
-    fn digest(&self) -> String {
-        format!("{:016x}", self.trace)
+    /// The store digest: the 16-hex rendering of the hash that
+    /// `CellKey::content_key` returns, written on the stack.
+    fn digest(&self) -> Digest {
+        let mut hex = [0; 16];
+        for (i, digit) in hex.iter_mut().enumerate() {
+            *digit = b"0123456789abcdef"[(self.trace >> (60 - 4 * i)) as usize & 0xf];
+        }
+        Digest(hex)
     }
 
     /// Opens the cell's trace root under the phase span `parent`.
@@ -610,13 +642,26 @@ impl CellId {
     }
 }
 
+/// A cell's store digest, rendered without allocating: looking up and
+/// staging a cell borrow it as a `str`.
+struct Digest([u8; 16]);
+
+impl std::ops::Deref for Digest {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        // Hex digits are ASCII, so this never falls back.
+        std::str::from_utf8(&self.0).unwrap_or_default()
+    }
+}
+
 /// The runner's single cell record: identity, the payload bytes the cell
 /// map and the store hold, the aux identity stored beside them (a
 /// repair's produced version, keying its eval cells) and the phase's run.
 struct CellRecord<R> {
     id: CellId,
-    payload: String,
-    aux: Option<String>,
+    payload: Arc<str>,
+    aux: Option<Arc<str>>,
     run: R,
 }
 
@@ -626,20 +671,25 @@ fn detect_payload(mask: &CellMask) -> String {
     serde_json::to_string(mask).expect("mask serializes")
 }
 
-/// The canonical `repair:…#…` cell payload: repaired CSV + modified
+/// The canonical `repair:…#…` cell payload — repaired CSV + modified
 /// cells + row map for version-producing repairs, a pipeline marker
-/// otherwise.
-fn repair_payload(rep: &RepairRun) -> String {
-    match (&rep.version, &rep.repaired_cells) {
-        (Some(v), Some(m)) => format!(
-            "{}\n{}\n{:?}",
-            rein_data::csv::write_str(&v.table),
+/// otherwise — and the produced version's content identity. The CSV is
+/// rendered once for both.
+fn repair_payload(rep: &RepairRun) -> (String, Option<String>) {
+    let marker = || format!("pipeline:{}", rep.pipeline.is_some());
+    let Some(v) = &rep.version else { return (marker(), None) };
+    let csv = rein_data::csv::write_str(&v.table);
+    let payload = match &rep.repaired_cells {
+        Some(m) => format!(
+            "{csv}\n{}\n{:?}",
             // audit:allow(panic, CellMask serialization to JSON strings is infallible)
             serde_json::to_string(m).expect("mask serializes"),
             v.row_map
         ),
-        _ => format!("pipeline:{}", rep.pipeline.is_some()),
-    }
+        None => marker(),
+    };
+    let identity = version_identity(&csv, &v.row_map);
+    (payload, Some(identity))
 }
 
 /// The `scores:…` cell text shared by the supervised tasks.
@@ -736,6 +786,13 @@ mod tests {
         let again = ctrl.cell_key(&ds, &vid, "eval:S1:ImputeMeanMode#Raha", 0.2, seed_a);
         assert_eq!(a, again);
         assert_eq!(a.content_key(), again.content_key());
+        // The grid's stack-rendered store digest is the key's content key.
+        for key in [&a, &b] {
+            let id = CellId { coordinate: String::new(), seed: 0, trace: key.hash() };
+            assert_eq!(&*id.digest(), key.content_key());
+        }
+        let id = CellId { coordinate: String::new(), seed: 0, trace: 0xab };
+        assert_eq!(&*id.digest(), "00000000000000ab", "leading zeros are kept");
         // The version component really is content-addressed: the same
         // table rebuilt from scratch hashes to the same identity.
         assert_eq!(vid, VersionTable::identity(ds.dirty.clone()).content_identity());
@@ -749,44 +806,121 @@ mod tests {
         // global, so this run's roots are isolated by their trace ids.
         let ctrl =
             Controller { label_budget: 30, seed: 0xC311, scale: 0.2, ..Controller::default() };
-        let _ = ctrl.run_grid(&ds, &[Scenario::S1], 1);
+        let cells = ctrl.run_grid(&ds, &[Scenario::S1], 1);
         let spans = rein_telemetry::snapshot_spans();
         let roots: Vec<_> =
             spans.iter().filter(|s| s.name.starts_with("cell:") && !s.instant).collect();
         assert!(!roots.is_empty(), "grid must open cell trace roots");
         assert!(roots.iter().all(|s| s.trace_id != 0), "cell roots are never ambient");
-        // Every planned detection cell's trace id is recomputable from
-        // its CellKey — and the recorded roots carry exactly those ids.
+        // Every planned cell's trace id is recomputable from its CellKey,
+        // built here with owned components and an identity rendered from
+        // scratch — and the recorded roots carry exactly those ids.
         // (The snapshot is process-global, so selection is by trace id,
         // which this test's unique seed scopes to this run.)
         let dirty_id = table_identity(&ds.dirty);
-        let this_run: Vec<(String, u64)> = ctrl
-            .plan(&ds)
-            .detectors
-            .iter()
-            .map(|k| {
-                let strat = format!("detect:{}", k.name());
-                let seed = derive_seed(ctrl.seed, k.index_letter() as u64);
-                let id = ctrl.cell_key(&ds, &dirty_id, &strat, ctrl.scale, seed).hash();
-                (strat, id)
-            })
-            .collect();
+        let plan = ctrl.plan(&ds);
+        let repairers: Vec<RepairKind> =
+            plan.generic_repairers.iter().chain(&plan.ml_repairers).copied().collect();
+        let key = |version: &str, coordinate: &str, seed: u64| {
+            ctrl.cell_key(&ds, version, coordinate, ctrl.scale, seed).hash()
+        };
+        let mut this_run: Vec<(String, u64)> = Vec::new();
+        for (det_ix, det) in plan.detectors.iter().enumerate() {
+            let detect = format!("detect:{}", det.name());
+            let seed = derive_seed(ctrl.seed, det.index_letter() as u64);
+            this_run.push((detect.clone(), key(&dirty_id, &detect, seed)));
+            for (ri, rep) in repairers.iter().enumerate() {
+                let repair = format!("repair:{}#{}", rep.name(), det.name());
+                let seed = derive_seed(ctrl.seed, rep.index() as u64);
+                this_run.push((repair.clone(), key(&dirty_id, &repair, seed)));
+                // An eval cell keys on the version its repair produced: the
+                // identity of the payload's CSV and row map.
+                let mut parts = cells[&repair].rsplitn(3, '\n');
+                let (Some(row_map), Some(_mask), Some(csv)) =
+                    (parts.next(), parts.next(), parts.next())
+                else {
+                    continue;
+                };
+                let version =
+                    format!("v:{}", rein_ledger::content_key(&format!("{csv}\n{row_map}")));
+                let eval = format!("eval:S1:{}#{}", rep.name(), det.name());
+                assert!(cells.contains_key(&eval), "{repair} produced a version");
+                let seed = derive_seed(ctrl.seed, 40_000 + (det_ix as u64) * 1_000 + ri as u64);
+                this_run.push((eval.clone(), key(&version, &eval, seed)));
+            }
+        }
+        assert_eq!(this_run.len(), cells.len(), "every grid cell is accounted for");
         let mut unique: Vec<u64> = this_run.iter().map(|(_, id)| *id).collect();
         unique.sort_unstable();
         unique.dedup();
-        assert_eq!(unique.len(), this_run.len(), "detection cell trace ids are distinct");
-        for (strategy, id) in &this_run {
+        assert_eq!(unique.len(), this_run.len(), "cell trace ids are distinct");
+        for (coordinate, id) in &this_run {
             let root = roots
                 .iter()
                 .find(|s| s.trace_id == *id)
-                .unwrap_or_else(|| panic!("no trace root recorded for {strategy}"));
-            assert_eq!(root.name, format!("cell:{strategy}"), "root named for its coordinate");
-            // Guard spans opened inside the cell inherit the root's trace.
-            let inherited = spans
-                .iter()
-                .any(|s| s.trace_id == *id && s.id != root.id && s.name.starts_with("detect:"));
-            assert!(inherited, "guard span under {strategy} must inherit its trace id");
+                .unwrap_or_else(|| panic!("no trace root recorded for {coordinate}"));
+            assert_eq!(root.name, format!("cell:{coordinate}"), "root named for its coordinate");
+            // Guard spans opened inside a detection cell inherit the root's trace.
+            if coordinate.starts_with("detect:") {
+                let inherited = spans
+                    .iter()
+                    .any(|s| s.trace_id == *id && s.id != root.id && s.name.starts_with("detect:"));
+                assert!(inherited, "guard span under {coordinate} must inherit its trace id");
+            }
         }
+    }
+
+    #[test]
+    fn wrong_shaped_stored_masks_miss_and_recompute() {
+        let ds = DatasetId::Nasa.generate(&Params::scaled(0.05, 6));
+        let root = std::env::temp_dir().join(format!("rein-ctrl-badmask-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let direct = Controller { label_budget: 30, seed: 7, ..Controller::default() };
+        let want = direct.run_grid(&ds, &[], 1);
+
+        // Checksum-valid masks that parse but do not fit the dirty table:
+        // another grid, too few words, too many words, a bit past the
+        // last cell.
+        let (rows, cols) = (ds.dirty.n_rows(), ds.dirty.n_cols());
+        assert_ne!((rows * cols) % 64, 0, "the last case needs a padding bit");
+        let words = (rows * cols).div_ceil(64);
+        let bits = |n: usize, last: u64| {
+            let mut bits = vec![0u64; n];
+            if let Some(w) = bits.last_mut() {
+                *w = last;
+            }
+            format!("{bits:?}").replace(' ', "")
+        };
+        let payload = |r: usize, c: usize, bits: String| {
+            format!(r#"{{"rows":{r},"cols":{c},"bits":{bits}}}"#)
+        };
+        let bad = [
+            payload(1, 1, bits(1, 0)),
+            payload(rows, cols, bits(words - 1, 0)),
+            payload(rows, cols, bits(words + 1, 0)),
+            payload(rows, cols, bits(words, 1 << ((rows * cols - 1) % 64 + 1))),
+        ];
+        let store = Arc::new(Store::open(&root).unwrap());
+        let ctrl = Controller { store: Some(store.clone()), ..direct };
+        let dirty_id = table_identity(&ds.dirty);
+        let detectors = ctrl.plan(&ds).detectors;
+        for (i, det) in detectors.iter().enumerate() {
+            let coordinate = format!("detect:{}", det.name());
+            let seed = derive_seed(ctrl.seed, det.index_letter() as u64);
+            let key = ctrl.cell_key(&ds, &dirty_id, &coordinate, ctrl.scale, seed).content_key();
+            store.commit_one(&key, &coordinate, &bad[i % bad.len()], None).unwrap();
+        }
+
+        let got = ctrl.run_grid(&ds, &[], 1);
+        assert_eq!(want, got, "a wrong-shaped stored mask must recompute, not replay");
+        // Each miss committed its recomputed mask over the bad one.
+        for det in &detectors {
+            let coordinate = format!("detect:{}", det.name());
+            let seed = derive_seed(ctrl.seed, det.index_letter() as u64);
+            let key = ctrl.cell_key(&ds, &dirty_id, &coordinate, ctrl.scale, seed).content_key();
+            assert_eq!(&*store.lookup(&key).unwrap().payload, want[&coordinate]);
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

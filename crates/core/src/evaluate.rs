@@ -2,6 +2,7 @@
 //! signals, measures quality and runtime, and trains/evaluates ML models
 //! on data versions under the S1–S5 scenarios.
 
+use std::fmt::Write;
 use std::time::Duration;
 
 use rein_data::rng::derive_seed;
@@ -231,13 +232,12 @@ impl VersionTable {
     }
 
     /// Content identity of this version: the ledger's 16-hex FNV-1a key
-    /// over the CSV bytes and the row map. This is the
-    /// `dataset_version` component of a
+    /// over the CSV bytes and the row map ([`version_identity`]). This
+    /// is the `dataset_version` component of a
     /// [`crate::cache_key::CellKey`] — two versions with identical
     /// bytes share an identity no matter which repair produced them.
     pub fn content_identity(&self) -> String {
-        let payload = format!("{}\n{:?}", rein_data::csv::write_str(&self.table), self.row_map);
-        format!("v:{}", rein_ledger::content_key(&payload))
+        version_identity(&rein_data::csv::write_str(&self.table), &self.row_map)
     }
 }
 
@@ -247,8 +247,20 @@ impl VersionTable {
 /// table's identity when deriving detection/repair cell trace ids.
 pub fn table_identity(table: &Table) -> String {
     let row_map: Vec<usize> = (0..table.n_rows()).collect();
-    let payload = format!("{}\n{:?}", rein_data::csv::write_str(table), row_map);
-    format!("v:{}", rein_ledger::content_key(&payload))
+    version_identity(&rein_data::csv::write_str(table), &row_map)
+}
+
+/// A version's identity from its already-rendered CSV: `v:` and the
+/// 16-hex FNV-1a-64 of the CSV bytes, a newline and the row map's
+/// `Debug` text, streamed into the hash without joining them. A caller
+/// that renders the CSV anyway (a repair cell's payload) renders it
+/// once for both.
+pub(crate) fn version_identity(csv: &str, row_map: &[usize]) -> String {
+    let mut hash = rein_ledger::Fnv1a64::default();
+    hash.write_bytes(csv.as_bytes());
+    // The sink never fails.
+    let _ = write!(hash, "\n{row_map:?}");
+    format!("v:{:016x}", hash.finish())
 }
 
 /// One repair execution: either a repaired version or a trained pipeline.

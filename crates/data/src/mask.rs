@@ -51,6 +51,23 @@ impl CellMask {
         self.cols
     }
 
+    /// Whether this is a well-formed mask of a `rows × cols` grid: those
+    /// dimensions, exactly the words they need and no bit set past the
+    /// last cell. A deserialized mask can claim any shape over any words;
+    /// only one that passes is safe to index or combine with the grid's
+    /// other masks.
+    pub fn has_shape(&self, rows: usize, cols: usize) -> bool {
+        let cells = rows * cols;
+        let padding_clear = match (cells % 64, self.bits.last()) {
+            (0, _) | (_, None) => true,
+            (used, Some(&last)) => last >> used == 0,
+        };
+        self.rows == rows
+            && self.cols == cols
+            && self.bits.len() == cells.div_ceil(64)
+            && padding_clear
+    }
+
     fn idx(&self, row: usize, col: usize) -> usize {
         debug_assert!(row < self.rows && col < self.cols, "cell ({row},{col}) out of bounds");
         row * self.cols + col
@@ -272,5 +289,22 @@ mod tests {
         let m = CellMask::from_cells(2, 2, [CellRef::new(1, 1), CellRef::new(0, 0)]);
         assert_eq!(m.count(), 2);
         assert!(m.get(1, 1));
+    }
+
+    #[test]
+    fn has_shape_rejects_deserialized_masks_of_another_grid() {
+        for (rows, cols) in [(0, 0), (1, 1), (75, 6), (8, 8), (13, 5)] {
+            assert!(CellMask::new(rows, cols).has_shape(rows, cols), "{rows}x{cols}");
+            assert!(CellMask::full(rows, cols).has_shape(rows, cols), "{rows}x{cols}");
+        }
+        let parse = |json: &str| serde_json::from_str::<CellMask>(json).unwrap();
+        assert!(!parse(r#"{"rows":1,"cols":1,"bits":[0]}"#).has_shape(75, 6));
+        assert!(!parse(r#"{"rows":6,"cols":75,"bits":[0,0,0,0,0,0,0,0]}"#).has_shape(75, 6));
+        // 450 cells need 8 words: one short and one extra are both refused.
+        assert!(!parse(r#"{"rows":75,"cols":6,"bits":[0,0,0,0,0,0,0]}"#).has_shape(75, 6));
+        assert!(!parse(r#"{"rows":75,"cols":6,"bits":[0,0,0,0,0,0,0,0,0]}"#).has_shape(75, 6));
+        // A bit past the last of the 450 cells.
+        assert!(!parse(r#"{"rows":75,"cols":6,"bits":[0,0,0,0,0,0,0,4]}"#).has_shape(75, 6));
+        assert!(parse(r#"{"rows":75,"cols":6,"bits":[0,0,0,0,0,0,0,3]}"#).has_shape(75, 6));
     }
 }

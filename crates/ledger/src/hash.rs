@@ -4,11 +4,13 @@
 //! A key is built from the fields that define a computation, never from
 //! the volatile bytes of an artifact (timings change every run; the
 //! computation they measure does not). `CellKey` and the dataset-version
-//! identities render their keys here; the cell store shards by
-//! [`fnv1a64`].
+//! identities stream their identity text through [`Fnv1a64`] into this
+//! format without building the string; [`content_key`] renders a whole
+//! identity string, the form their tests compare against. The cell
+//! store shards by [`fnv1a64`].
 
-/// FNV-1a 64-bit, defined once in rein-telemetry.
-pub use rein_telemetry::fnv1a64;
+/// FNV-1a 64-bit, whole and streamed, defined once in rein-telemetry.
+pub use rein_telemetry::{fnv1a64, Fnv1a64};
 
 /// A content key: 16 lowercase hex digits of [`fnv1a64`] over the
 /// canonical identity string.

@@ -18,7 +18,7 @@ pub mod hash;
 pub mod report;
 pub mod trace;
 
-pub use hash::{content_key, fnv1a64};
+pub use hash::{content_key, fnv1a64, Fnv1a64};
 pub use report::{
     build_report, load_manifest, profile_diff, run_manifests, CacheRow, DiffRow, FailureTaxonomy,
     PercentileRow, Report, StrategyRow, TaxonomyRow,

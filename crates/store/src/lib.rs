@@ -52,12 +52,18 @@
 //! and commit paths used inside `Controller::run_grid` touch only the
 //! in-memory index and the already-open journal handle, which keeps the
 //! grid's `cache-key-completeness` purity certificate intact.
+//!
+//! Past recovery, which copies each decoded field once into the index,
+//! the store never copies a cell's text: it is shared `Arc<str>`. A
+//! [`Store::lookup`] hands out the index's allocations, and a commit
+//! moves the staged record's allocations into the index, so a payload
+//! the grid staged is the very allocation a later lookup returns.
 
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
@@ -81,31 +87,44 @@ pub const MAX_RECORD_BYTES: u32 = 1 << 30;
 /// this many bytes at open, it is compacted into a sealed segment.
 pub const DEFAULT_ROTATE_TAIL_BYTES: u64 = 1 << 20;
 
-/// One stored cell result.
+/// One stored cell result. Its text is shared, not copied: a clone
+/// (what [`Store::lookup`] returns) points at the index's bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoredCell {
     /// The grid coordinate (`detect:…`, `repair:…#…`, `eval:…:…#…`).
-    pub coordinate: String,
+    pub coordinate: Arc<str>,
     /// The cell's serialized result — exactly the bytes
     /// `Controller::run_grid` puts in its cell map.
-    pub payload: String,
+    pub payload: Arc<str>,
     /// Auxiliary identity needed to key downstream cells without
     /// rehydrating the payload (for repair cells: the produced version's
     /// `content_identity`).
-    pub aux: Option<String>,
+    pub aux: Option<Arc<str>>,
 }
 
-/// One journal record: a [`StoredCell`] plus its content key.
+/// One journal record: a [`StoredCell`] plus its content key. A commit
+/// moves its text into the index, so the record, the index and the
+/// caller that staged it share one allocation per field.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     /// 16-hex FNV-1a-64 digest of the cell's `CellKey` identity.
     pub key: String,
     /// Grid coordinate.
-    pub coordinate: String,
+    pub coordinate: Arc<str>,
     /// Serialized cell result.
-    pub payload: String,
+    pub payload: Arc<str>,
     /// Auxiliary identity (see [`StoredCell::aux`]).
-    pub aux: Option<String>,
+    pub aux: Option<Arc<str>>,
+}
+
+/// One decoded record body: its fields as validated slices of the
+/// journal bytes, inserted into the index without an owned [`Record`]
+/// in between.
+struct Fields<'a> {
+    key: &'a str,
+    coordinate: &'a str,
+    payload: &'a str,
+    aux: Option<&'a str>,
 }
 
 /// One quarantined stretch of journal bytes.
@@ -256,7 +275,8 @@ impl Store {
     }
 
     /// Looks up a committed cell by its content key. Pure in-memory:
-    /// no filesystem read happens outside [`Store::open`].
+    /// no filesystem read happens outside [`Store::open`]. The returned
+    /// cell shares the index's text; nothing is copied.
     pub fn lookup(&self, key: &str) -> Option<StoredCell> {
         // audit:allow(panic, store lock poisoning only follows another panic)
         self.inner.lock().expect("store lock").cells.get(key).cloned()
@@ -320,7 +340,7 @@ impl Store {
         aux: Option<&str>,
     ) -> std::io::Result<()> {
         let staged = StoreWriter::with_shards(1);
-        staged.stage(key, coordinate, payload, aux);
+        staged.stage(key, coordinate, payload.into(), aux.map(Into::into));
         self.commit_staged(&staged, &|_| None).map(|_| ())
     }
 
@@ -353,7 +373,7 @@ fn segment_index(name: &str) -> Option<u64> {
 /// Serializes one record into the journal frame format, appending to
 /// `out`.
 fn append_frame(out: &mut Vec<u8>, record: &Record) -> std::io::Result<()> {
-    let fields = [&record.key, &record.coordinate, &record.payload];
+    let fields: [&str; 3] = [&record.key, &record.coordinate, &record.payload];
     let body_len = fields.iter().map(|f| 4 + f.len()).sum::<usize>()
         + 1
         + record.aux.as_ref().map_or(0, |a| 4 + a.len());
@@ -392,10 +412,10 @@ fn put_field(out: &mut Vec<u8>, field: &[u8]) {
     out.extend_from_slice(field);
 }
 
-/// Decodes one record body. `None` on any overrun, invalid UTF-8,
-/// unknown aux tag or trailing byte: recovery reports it as
-/// `bad-payload`.
-fn decode_body(body: &[u8]) -> Option<Record> {
+/// Decodes one record body into slices of `body`. `None` on any
+/// overrun, invalid UTF-8, unknown aux tag or trailing byte: recovery
+/// reports it as `bad-payload`.
+fn decode_body(body: &[u8]) -> Option<Fields<'_>> {
     let mut rest = body;
     let key = take_field(&mut rest)?;
     let coordinate = take_field(&mut rest)?;
@@ -407,18 +427,18 @@ fn decode_body(body: &[u8]) -> Option<Record> {
         1 => Some(take_field(&mut rest)?),
         _ => return None,
     };
-    rest.is_empty().then_some(Record { key, coordinate, payload, aux })
+    rest.is_empty().then_some(Fields { key, coordinate, payload, aux })
 }
 
 /// Splits one `field(s)` off the front of `rest`.
-fn take_field(rest: &mut &[u8]) -> Option<String> {
+fn take_field<'a>(rest: &mut &'a [u8]) -> Option<&'a str> {
     let (len, tail) = rest.split_first_chunk::<4>()?;
     let len = usize::try_from(u32::from_le_bytes(*len)).ok()?;
     if tail.len() < len {
         return None;
     }
     let (field, tail) = tail.split_at(len);
-    let field = std::str::from_utf8(field).ok()?.to_owned();
+    let field = std::str::from_utf8(field).ok()?;
     *rest = tail;
     Some(field)
 }
@@ -500,13 +520,27 @@ fn recover_file(
         return Ok(());
     }
     let scan = scan_file(&bytes);
-    for record in scan.records {
-        report.replayed += 1;
-        cells.insert(
-            record.key,
-            StoredCell { coordinate: record.coordinate, payload: record.payload, aux: record.aux },
-        );
-    }
+    report.replayed += scan.records.len() as u64;
+    // Newest record first: the stable sort keeps each key's newest record
+    // ahead of its older ones, and the dedup keeps exactly that one. The
+    // index is then built in one pass, and `append` lets this file's
+    // records replace those of the files replayed before it.
+    let mut replayed: Vec<(String, StoredCell)> = scan
+        .records
+        .iter()
+        .rev()
+        .map(|fields| {
+            let cell = StoredCell {
+                coordinate: fields.coordinate.into(),
+                payload: fields.payload.into(),
+                aux: fields.aux.map(Into::into),
+            };
+            (fields.key.to_owned(), cell)
+        })
+        .collect();
+    replayed.sort_by(|a, b| a.0.cmp(&b.0));
+    replayed.dedup_by(|older, newer| older.0 == newer.0);
+    cells.append(&mut replayed.into_iter().collect());
     if let Some((offset, reason)) = scan.bad {
         let blob_name = format!("quarantine/{name}.{offset}.bin");
         atomic_write(&root.join(&blob_name), &bytes[offset..])?;
@@ -526,8 +560,8 @@ fn recover_file(
 }
 
 /// Outcome of scanning one journal file's bytes.
-struct ScanOutcome {
-    records: Vec<Record>,
+struct ScanOutcome<'a> {
+    records: Vec<Fields<'a>>,
     /// Byte length of the valid prefix (including magic).
     good_len: usize,
     /// First bad stretch: (offset, reason). Everything from `offset` on
@@ -539,7 +573,7 @@ struct ScanOutcome {
 /// The recovery state machine over one file's bytes (DESIGN.md §6j):
 /// validate magic, then walk frames; stop at the first torn or corrupt
 /// record.
-fn scan_file(bytes: &[u8]) -> ScanOutcome {
+fn scan_file(bytes: &[u8]) -> ScanOutcome<'_> {
     if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
         return ScanOutcome { records: Vec::new(), good_len: 0, bad: Some((0, "bad-magic")) };
     }
@@ -628,18 +662,40 @@ mod tests {
             let store = Store::open(&root).unwrap();
             assert_eq!(store.cell_count(), 0);
             let w = StoreWriter::with_shards(4);
-            w.stage("aaaa", "detect:raha", "mask-bytes", None);
-            w.stage("bbbb", "repair:mm#raha", "csv\nmask\nrowmap", Some("v:0123"));
+            w.stage("aaaa", "detect:raha", "mask-bytes".into(), None);
+            w.stage("bbbb", "repair:mm#raha", "csv\nmask\nrowmap".into(), Some("v:0123".into()));
             assert_eq!(store.commit_staged(&w, &no_crash).unwrap(), 2);
-            assert_eq!(store.lookup("aaaa").unwrap().payload, "mask-bytes");
+            assert_eq!(&*store.lookup("aaaa").unwrap().payload, "mask-bytes");
         }
         let store = Store::open(&root).unwrap();
         assert_eq!(store.cell_count(), 2);
         assert_eq!(store.recovery().replayed, 2);
         assert!(store.recovery().quarantined.is_empty());
         let cell = store.lookup("bbbb").unwrap();
-        assert_eq!(cell.coordinate, "repair:mm#raha");
+        assert_eq!(&*cell.coordinate, "repair:mm#raha");
         assert_eq!(cell.aux.as_deref(), Some("v:0123"));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn lookups_share_the_committed_payload() {
+        let root = tmp_root("shared");
+        let payload: Arc<str> = "csv\nmask\nrowmap".into();
+        {
+            let store = Store::open(&root).unwrap();
+            let w = StoreWriter::with_shards(2);
+            w.stage("k", "repair:mm#raha", payload.clone(), Some("v:0123".into()));
+            store.commit_staged(&w, &no_crash).unwrap();
+            let (a, b) = (store.lookup("k").unwrap(), store.lookup("k").unwrap());
+            assert!(Arc::ptr_eq(&a.payload, &b.payload), "lookups share one allocation");
+            assert!(Arc::ptr_eq(&a.payload, &payload), "the index holds the staged allocation");
+        }
+        let store = Store::open(&root).unwrap();
+        let (a, b) = (store.lookup("k").unwrap(), store.lookup("k").unwrap());
+        assert!(Arc::ptr_eq(&a.payload, &b.payload), "a reopened index shares its bytes too");
+        assert_eq!(&*a.payload, &*payload, "the reopened store returns the committed bytes");
+        assert_eq!(&*a.coordinate, "repair:mm#raha");
+        assert_eq!(a.aux.as_deref(), Some("v:0123"));
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -653,7 +709,7 @@ mod tests {
         }
         let store = Store::open(&root).unwrap();
         assert_eq!(store.cell_count(), 1);
-        assert_eq!(store.lookup("k").unwrap().payload, "new");
+        assert_eq!(&*store.lookup("k").unwrap().payload, "new");
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -707,7 +763,7 @@ mod tests {
         // Everything still replays from the sealed segment.
         let again = Store::open(&root).unwrap();
         assert_eq!(again.cell_count(), 20);
-        assert_eq!(again.lookup("k7").unwrap().coordinate, "detect:d7");
+        assert_eq!(&*again.lookup("k7").unwrap().coordinate, "detect:d7");
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -789,7 +845,7 @@ mod tests {
 
             let store = Store::open(&root).unwrap();
             assert_eq!(store.cell_count(), 1, "{name}: the good record survives");
-            assert_eq!(store.lookup("k1").unwrap().payload, "good", "{name}");
+            assert_eq!(&*store.lookup("k1").unwrap().payload, "good", "{name}");
             let q = &store.recovery().quarantined;
             assert_eq!(q.len(), 1, "{name}");
             assert_eq!((q[0].offset, q[0].reason.as_str()), (good_len as u64, reason), "{name}");
@@ -817,12 +873,12 @@ mod tests {
             std::fs::write(root.join(format!("seg-{index:04}.wal")), seg).unwrap();
         }
         let store = Store::open(&root).unwrap();
-        assert_eq!(store.lookup("k").unwrap().payload, "newer");
+        assert_eq!(&*store.lookup("k").unwrap().payload, "newer");
         drop(store);
         // Rotation compacts the newest value into the next segment.
         let store = Store::open_with_rotation(&root, 0).unwrap();
         assert_eq!(list_segments(&root).unwrap(), ["seg-10001.wal"]);
-        assert_eq!(store.lookup("k").unwrap().payload, "newer");
+        assert_eq!(&*store.lookup("k").unwrap().payload, "newer");
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -5,7 +5,7 @@
 //! the store appends them to the journal — so the journal's byte order
 //! is a function of the grid coordinates, never of worker scheduling.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use rein_ledger::fnv1a64;
 
@@ -27,15 +27,11 @@ impl StoreWriter {
     /// Stages one freshly-computed cell for the next commit. Callable
     /// from parallel workers: the shard is picked by hashing the cell
     /// coordinate, so the same cell always lands in the same shard and
-    /// no global lock serializes the fan-out.
-    pub fn stage(&self, key: &str, coordinate: &str, payload: &str, aux: Option<&str>) {
+    /// no global lock serializes the fan-out. The payload and aux are
+    /// shared with the caller, not copied.
+    pub fn stage(&self, key: &str, coordinate: &str, payload: Arc<str>, aux: Option<Arc<str>>) {
         let shard = (fnv1a64(coordinate.as_bytes()) % self.shards.len() as u64) as usize;
-        let record = Record {
-            key: key.to_string(),
-            coordinate: coordinate.to_string(),
-            payload: payload.to_string(),
-            aux: aux.map(str::to_string),
-        };
+        let record = Record { key: key.to_string(), coordinate: coordinate.into(), payload, aux };
         // audit:allow(panic, shard lock poisoning only follows another panic)
         self.shards[shard].lock().expect("store writer shard lock").push(record);
     }
@@ -69,21 +65,21 @@ mod tests {
     #[test]
     fn merge_is_sorted_and_scheduling_invariant() {
         let a = StoreWriter::with_shards(4);
-        a.stage("k2", "repair:b#a", "two", None);
-        a.stage("k1", "detect:a", "one", Some("v:aux"));
-        a.stage("k3", "eval:S1:b#a", "three", None);
+        a.stage("k2", "repair:b#a", "two".into(), None);
+        a.stage("k1", "detect:a", "one".into(), Some("v:aux".into()));
+        a.stage("k3", "eval:S1:b#a", "three".into(), None);
 
         let b = StoreWriter::with_shards(1);
         // Same records staged in a different order into a different
         // shard layout must merge to the same batch.
-        b.stage("k3", "eval:S1:b#a", "three", None);
-        b.stage("k1", "detect:a", "one", Some("v:aux"));
-        b.stage("k2", "repair:b#a", "two", None);
+        b.stage("k3", "eval:S1:b#a", "three".into(), None);
+        b.stage("k1", "detect:a", "one".into(), Some("v:aux".into()));
+        b.stage("k2", "repair:b#a", "two".into(), None);
 
         let ma = a.merge_shards();
         let mb = b.merge_shards();
         assert_eq!(ma, mb);
-        assert_eq!(ma[0].coordinate, "detect:a");
+        assert_eq!(&*ma[0].coordinate, "detect:a");
         assert_eq!(ma[0].aux.as_deref(), Some("v:aux"));
         assert_eq!(a.staged_len(), 0, "merge drains the shards");
     }

@@ -43,7 +43,7 @@ fn seeded(root: &Path, n: usize) -> Vec<(String, String)> {
 fn assert_survivors_are_committed(store: &Store, committed: &[(String, String)]) {
     for (key, payload) in committed {
         if let Some(cell) = store.lookup(key) {
-            assert_eq!(&cell.payload, payload, "surviving cell {key} mutated by recovery");
+            assert_eq!(&*cell.payload, payload, "surviving cell {key} mutated by recovery");
         }
     }
     let survivors = committed.iter().filter(|(k, _)| store.lookup(k).is_some()).count();
@@ -178,7 +178,7 @@ proptest! {
         let store = Store::open_with_rotation(&root, u64::MAX).expect("recovery must not fail");
         prop_assert_eq!(store.cell_count(), committed.len());
         for (key, payload) in &committed {
-            prop_assert_eq!(&store.lookup(key).expect("cell survives").payload, payload);
+            prop_assert_eq!(&*store.lookup(key).expect("cell survives").payload, payload);
         }
         prop_assert!(
             store.recovery().quarantined.is_empty(),

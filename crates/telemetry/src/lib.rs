@@ -84,17 +84,49 @@ pub use trace::{
 
 /// FNV-1a 64-bit over `bytes`: the workspace's one content hash. It is
 /// tiny, dependency free and byte-stable across platforms; ledger
-/// content keys, cell keys, store checksums, guard budget jitter and
+/// content keys, cell keys, the store's shard choice, guard budget jitter and
 /// flamegraph colours all use it. Not collision resistant.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
+    let mut h = Fnv1a64::default();
+    h.write_bytes(bytes);
+    h.finish()
+}
+
+/// [`fnv1a64`] fed in pieces: the hash of the pieces' concatenation.
+/// As a [`std::fmt::Write`] sink it hashes formatted text without
+/// building the string.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a64(u64);
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv1a64 {
+    /// Folds `bytes` into the hash.
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        let mut h = self.0;
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(PRIME);
+        }
+        self.0 = h;
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl std::fmt::Write for Fnv1a64 {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write_bytes(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Clears all recorded spans, metric values (counters reset to zero,

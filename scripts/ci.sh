@@ -23,6 +23,14 @@ echo "==> benchmark at its default seed (each workload's cell digest and count m
 # when any workload is incorrect.
 bash benchmark/run.sh --all --seconds 1
 
+echo "==> traced benchmark at its real scale (layer coverage, one-thread and full-pool cells)"
+# The package tests above run the traced binary only at tiny scales, on
+# seed 3, in a debug build. This runs it on every workload at its real
+# scale in a release build: it exits 1 when the layers cover less than
+# 0.95 of the serial wall time or when a full-pool or one-thread cell
+# map differs from the set-up's.
+bash benchmark/run.sh --all --seconds 1 --trace 1
+
 echo "==> cargo run -p rein-audit (determinism & integrity audit, semantic rules + SARIF, stale suppressions blocking)"
 cargo run -q -p rein-audit -- --quiet --deny-stale --sarif artifacts/audit/report.sarif
 
