@@ -38,8 +38,8 @@ use crate::semantic::{Sink, WorkspaceModel};
 /// struct — the certificate is always relative to the real key.
 ///
 /// [`CellKey`]: https://docs.rs/rein-core (crates/core/src/cache_key.rs)
-pub const CACHE_KEY_FIELDS: [&str; 6] =
-    ["dataset", "dataset_version", "strategy", "seed", "scale", "guard_policy"];
+pub const CACHE_KEY_FIELDS: [&str; 7] =
+    ["dataset", "dataset_version", "strategy", "inputs", "seed", "scale", "guard_policy"];
 
 /// The declared key tuple, exposed for docs and the dogfood tests.
 pub fn cache_key_fields() -> &'static [&'static str] {

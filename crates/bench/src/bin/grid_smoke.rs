@@ -55,11 +55,15 @@ const DEFAULT_CHAOS: &str = "detect:raha=panic,repair:impute_mean_mode#max_entro
 /// `--mode crash` injection points, covering every commit phase on both
 /// sides of the durable append. They name cells the BreastCancer S1
 /// plan is guaranteed to contain (the ones [`DEFAULT_CHAOS`] targets).
-const CRASH_POINTS: [&str; 4] = [
+/// The last names a coordinate served by a shared repair cell: at seed
+/// 37 metadata_driven emits min_k's mask, so the rule fires at the commit
+/// of min_k's `impute_mean_mode` cell.
+const CRASH_POINTS: [&str; 5] = [
     "detect:raha=after",
     "repair:impute_mean_mode#max_entropy=before",
     "repair:impute_mean_mode#max_entropy=after",
     "eval:S1:impute_mean_mode#max_entropy=before",
+    "repair:impute_mean_mode#metadata_driven=after",
 ];
 
 /// A grid's serialized cells, keyed by coordinate.

@@ -1,12 +1,16 @@
 //! The canonical cell-granularity cache key for incremental evaluation.
 //!
 //! The content-addressed cell store (`rein-store`) memoizes one grid
-//! *cell* — a (dataset version, strategy, seed, scale, guard policy)
-//! tuple — and replays its stored result on a key hit. That is only
-//! sound if every value-influencing input of the cell computation is a
-//! component of this key; `rein-audit`'s `cache-key-completeness` rule
-//! certifies exactly that by proving the cell-compute entry points
-//! key-pure against [`CellKey`] (see DESIGN.md §6h).
+//! *cell* — a (dataset version, strategy, inputs, seed, scale, guard
+//! policy) tuple — and replays its stored result on a key hit. That is
+//! only sound if every value-influencing input of the cell computation
+//! is a component of this key. The grid passes each kernel only
+//! parameters the key renders, and `rein-audit`'s
+//! `cache-key-completeness` rule proves that no ambient channel
+//! (environment, files, clock, statics) reaches the cell-compute entry
+//! points (see DESIGN.md §6h). Neither covers a changed kernel or a hash
+//! collision: a key hit is not a proof that the stored bytes are the
+//! ones a recompute would produce.
 //!
 //! The hash is the workspace's one FNV-1a-64, rendered in `rein-ledger`'s
 //! 16-hex content-key format; the durable cell store (`rein-store`)
@@ -34,13 +38,21 @@ pub struct CellKey<'a> {
     /// Dataset name (`DatasetInfo::name`).
     pub dataset: Cow<'a, str>,
     /// Content identity of the exact table version the cell consumes:
-    /// the dirty table for detection cells, a repair's output version
-    /// for model cells.
+    /// the dirty table for detection and repair cells, a repair's output
+    /// version for model cells.
     pub dataset_version: Cow<'a, str>,
-    /// Strategy id: detector name, `repair#detector`, or
-    /// `scenario:repair#detector` — the same labels `run_grid` keys
-    /// its score map with.
+    /// Strategy id: `detect:<detector>`, `repair:<repairer>` or
+    /// `eval:<scenario>:<repairer>#<detector>`. A repair cell names its
+    /// detector (`repair:<repairer>#<detector>`, its `run_grid`
+    /// coordinate) only when a scoped chaos rule names that pair; every
+    /// other repair cell serves each detector that emitted its mask.
     pub strategy: Cow<'a, str>,
+    /// The phase's own inputs, which no other component carries:
+    /// `labels=<budget>` for a detection cell (the label budget of the
+    /// ML-supported detectors), `mask=<digest>` for a repair cell (the
+    /// FNV-1a-64 of the detection mask's payload it repairs) and
+    /// `repeats=<n>` for a model cell (its score count).
+    pub inputs: Cow<'a, str>,
     /// The fully-derived cell seed (after every `derive_seed` step).
     pub seed: u64,
     /// Dataset scale factor the cell ran at.
@@ -56,10 +68,11 @@ impl fmt::Display for CellKey<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "cell|{}|{}|{}|{}|{}|{}",
+            "cell|{}|{}|{}|{}|{}|{}|{}",
             self.dataset,
             self.dataset_version,
             self.strategy,
+            self.inputs,
             self.seed,
             self.scale,
             self.guard_policy
@@ -100,6 +113,7 @@ mod tests {
             dataset: "beers".into(),
             dataset_version: "v:0123456789abcdef".into(),
             strategy: "eval:S1:ImputeMeanMode#Raha".into(),
+            inputs: "repeats=1".into(),
             seed: 41_207,
             scale: 1.0,
             guard_policy: "deadline=0;chaos=off".into(),
@@ -110,7 +124,7 @@ mod tests {
     fn identity_is_pipe_joined_in_field_order() {
         assert_eq!(
             key().identity(),
-            "cell|beers|v:0123456789abcdef|eval:S1:ImputeMeanMode#Raha|41207|1|deadline=0;chaos=off"
+            "cell|beers|v:0123456789abcdef|eval:S1:ImputeMeanMode#Raha|repeats=1|41207|1|deadline=0;chaos=off"
         );
     }
 
@@ -129,6 +143,7 @@ mod tests {
             |k: &mut CellKey| k.dataset.to_mut().push('x'),
             |k: &mut CellKey| k.dataset_version.to_mut().push('x'),
             |k: &mut CellKey| k.strategy.to_mut().push('x'),
+            |k: &mut CellKey| k.inputs.to_mut().push('x'),
             |k: &mut CellKey| k.seed += 1,
             |k: &mut CellKey| k.scale += 0.5,
             |k: &mut CellKey| k.guard_policy.to_mut().push('x'),
@@ -167,6 +182,7 @@ mod tests {
             dataset in TEXT,
             dataset_version in TEXT,
             strategy in TEXT,
+            inputs in TEXT,
             seed in any::<u64>(),
             scale in arb_scale(),
             guard_policy in TEXT,
@@ -175,6 +191,7 @@ mod tests {
                 dataset: dataset.as_str().into(),
                 dataset_version: dataset_version.into(),
                 strategy: strategy.as_str().into(),
+                inputs: inputs.as_str().into(),
                 seed,
                 scale,
                 guard_policy: guard_policy.into(),
@@ -182,7 +199,10 @@ mod tests {
             let identity = k.identity();
             prop_assert_eq!(
                 &identity,
-                &format!("cell|{dataset}|{}|{strategy}|{seed}|{scale}|{}", k.dataset_version, k.guard_policy)
+                &format!(
+                    "cell|{dataset}|{}|{strategy}|{inputs}|{seed}|{scale}|{}",
+                    k.dataset_version, k.guard_policy
+                )
             );
             prop_assert_eq!(k.hash(), fnv1a64(identity.as_bytes()));
             prop_assert_eq!(k.content_key(), format!("{:016x}", fnv1a64(identity.as_bytes())));

@@ -10,7 +10,7 @@ use rein_data::rng::derive_seed;
 use rein_data::{CellMask, MlTask};
 use rein_datasets::GeneratedDataset;
 use rein_detect::DetectorKind;
-use rein_guard::{CrashWhen, GuardPolicy, StrategyFailure};
+use rein_guard::{CrashWhen, GuardPolicy, GuardSpec, Phase, StrategyFailure};
 use rein_ml::model::{ClassifierKind, ClustererKind, RegressorKind};
 use rein_repair::{RepairCategory, RepairKind};
 use rein_store::{CrashPoint, Store, StoreWriter};
@@ -131,8 +131,10 @@ impl Controller {
     /// Runs the repair phase store-less for one detector's detections:
     /// every planned generic repairer plus the ML-oriented ones.
     pub fn run_repairs(&self, ds: &GeneratedDataset, detection: &DetectorRun) -> Vec<RepairRun> {
+        let group = MaskGroup::single(detection);
         Grid::new(self, None, ds)
-            .repair_phase(detection)
+            .repair_phase(&group)
+            .cells
             .into_iter()
             .filter_map(|cell| cell.run)
             .collect()
@@ -145,7 +147,9 @@ impl Controller {
     /// - `detect:<detector>` — the detected cell mask,
     /// - `repair:<repairer>#<detector>` — the repaired table, modified
     ///   cells and row map (or a pipeline marker for ML-oriented
-    ///   repairers),
+    ///   repairers). Detectors that emitted byte-equal masks share one
+    ///   repair cell per repairer, and each of their coordinates holds
+    ///   its payload,
     /// - `eval:<scenario>:<repairer>#<detector>` — the scenario scores
     ///   for each table-producing repair.
     ///
@@ -167,25 +171,38 @@ impl Controller {
     ) -> BTreeMap<String, String> {
         let _span = rein_telemetry::span("controller:grid");
         let grid = Grid::new(self, self.store.as_deref(), ds);
+        let evals = EvalPlan { scenarios, repeats, inputs: format!("repeats={repeats}") };
+        let detections = grid.detect_phase();
+        // The map's copy of each payload is the grid's only one: a hit
+        // shares the store's bytes and a miss the bytes its worker built.
+        // Copying on this thread also keeps the long-lived map out of the
+        // pool workers' malloc arenas, which otherwise stay pinned and
+        // raise peak RSS.
         let mut cells = Vec::new();
-        for (det_ix, det) in grid.detect_phase().into_iter().enumerate() {
-            // audit:allow(seed-provenance, det only names the guard scope; every repair seed derives from self.seed and the repair kind in Grid::repair_phase)
-            let mut repairs = grid.repair_phase(&det.run);
-            // audit:allow(seed-provenance, det names the guard scope and det_ix the plan position; eval seeds derive from self.seed and the cell coordinates in Grid::eval_phase)
-            let evals = grid.eval_phase(&det.run, det_ix, &mut repairs, scenarios, repeats);
-            // The map's copy of each payload is the grid's only one: a hit
-            // shares the store's bytes and a miss the bytes its worker
-            // built. Copying on this thread also keeps the long-lived map
-            // out of the pool workers' malloc arenas, which otherwise stay
-            // pinned and raise peak RSS.
-            cells.push((det.id.coordinate, String::from(&*det.payload)));
-            cells.extend(
-                repairs.into_iter().map(|cell| (cell.id.coordinate, String::from(&*cell.payload))),
-            );
-            cells.extend(
-                evals.into_iter().map(|cell| (cell.id.coordinate, String::from(&*cell.payload))),
-            );
+        for group in MaskGroup::of(&detections) {
+            // audit:allow(seed-provenance, the group supplies the mask and the guard scope; every repair seed derives from self.seed and the repair kind in Grid::repair_phase)
+            let mut repairs = grid.repair_phase(&group);
+            for member in 0..group.members.len() {
+                // audit:allow(seed-provenance, the group supplies the mask, the guard scope and the plan position; eval seeds derive from self.seed and the cell coordinates in Grid::eval_phase)
+                let evaluated = grid.eval_phase(&group, member, &mut repairs, &evals);
+                cells.extend(
+                    evaluated
+                        .into_iter()
+                        .map(|cell| (cell.id.coordinate, String::from(&*cell.payload))),
+                );
+            }
+            for (slot, cell) in repairs.slots.iter().zip(repairs.cells) {
+                let repairer = grid.repairers[slot.ri].name();
+                for &member in &slot.serves[1..] {
+                    let coordinate = format!("repair:{repairer}#{}", group.name(member));
+                    cells.push((coordinate, String::from(&*cell.payload)));
+                }
+                cells.push((cell.id.coordinate, String::from(&*cell.payload)));
+            }
         }
+        cells.extend(
+            detections.into_iter().map(|det| (det.id.coordinate, String::from(&*det.payload))),
+        );
         // Coordinates are unique, so building the map once from all the
         // cells loses none.
         let cells: BTreeMap<String, String> = cells.into_iter().collect();
@@ -210,21 +227,27 @@ impl Controller {
 
     /// The canonical cache key of one grid cell: the key
     /// [`Controller::run_grid`] hashes into each cell's store digest and
-    /// trace id. `strategy` is the cell's `run_grid` coordinate string
-    /// (`detect:…`, `repair:…#…` or `eval:…:…#…`), `dataset_version`
+    /// trace id. `strategy` is the cell's [`CellKey::strategy`]
+    /// (`detect:…`, `repair:…` or `eval:…:…#…`), `dataset_version`
     /// the consumed version's [`VersionTable::content_identity`] (the
-    /// dirty table's identity for detection cells), `cell_seed` the
-    /// fully-derived per-cell seed, and `scale` the dataset generation
-    /// factor. rein-audit's `cache-key-completeness` rule certifies the
-    /// cell-compute entry points pure against exactly these components
-    /// (DESIGN.md §6h), so a key hit is provably a byte-identical
-    /// recompute. The grid builds the same key from borrowed components
-    /// and a guard policy rendered once per run.
+    /// dirty table's identity for detection and repair cells), `inputs`
+    /// the phase's own inputs (`labels=<budget>`, `mask=<digest>` or
+    /// `repeats=<n>`), `cell_seed` the fully-derived per-cell seed, and
+    /// `scale` the dataset generation factor. The grid passes a cell's
+    /// kernel only parameters these components render, and rein-audit's
+    /// `cache-key-completeness` rule proves that no ambient channel
+    /// reaches the cell-compute entry points (DESIGN.md §6h). That makes
+    /// a hit the recompute of the same inputs by the same code; it is not
+    /// a proof of byte identity, since a changed kernel keeps its keys
+    /// and two inputs can collide in the 64-bit digest.
+    /// The grid builds the same key from borrowed components and a guard
+    /// policy rendered once per run.
     pub fn cell_key<'a>(
         &self,
         ds: &'a GeneratedDataset,
         dataset_version: &'a str,
         strategy: &'a str,
+        inputs: &'a str,
         scale: f64,
         cell_seed: u64,
     ) -> CellKey<'a> {
@@ -232,6 +255,7 @@ impl Controller {
             dataset: ds.info.name.as_str().into(),
             dataset_version: dataset_version.into(),
             strategy: strategy.into(),
+            inputs: inputs.into(),
             seed: cell_seed,
             scale,
             guard_policy: self.policy.cache_identity().into(),
@@ -333,11 +357,11 @@ impl Controller {
 
 /// One grid run's shared context and its per-phase cell runner
 /// (DESIGN.md §6j). Every phase runs the same four steps: build the
-/// phase's cells in plan order ([`Grid::cell_id`]), look each one up in
-/// the store in plan order ([`Grid::lookup`]), compute the misses in
-/// parallel under their `cell:<coordinate>` trace roots and commit them
-/// at the phase's merge point ([`Grid::compute`]). Without a store every
-/// lookup misses and the commit does nothing.
+/// phase's cells in plan order, each with its [`Grid::key`], look each
+/// one up in the store in plan order ([`Grid::lookup`]), compute the
+/// misses in parallel under their `cell:<coordinate>` trace roots and
+/// commit them at the phase's merge point ([`Grid::compute`]). Without a
+/// store every lookup misses and the commit does nothing.
 struct Grid<'a> {
     ctrl: &'a Controller,
     store: Option<&'a Store>,
@@ -348,6 +372,9 @@ struct Grid<'a> {
     /// Content identity of the dirty table: the `dataset_version` key
     /// component of every detect and repair cell.
     dirty_id: String,
+    /// `labels=<budget>`: the `inputs` key component of every detect
+    /// cell.
+    labels: String,
     /// The guard policy's cache identity, rendered once per grid: the
     /// `guard_policy` key component of every cell.
     guard_policy: String,
@@ -367,6 +394,7 @@ impl<'a> Grid<'a> {
             detectors,
             repairers: generic_repairers.into_iter().chain(ml_repairers).collect(),
             dirty_id: table_identity(&ds.dirty),
+            labels: format!("labels={}", ctrl.label_budget),
             guard_policy: ctrl.policy.cache_identity(),
         }
     }
@@ -382,7 +410,9 @@ impl<'a> Grid<'a> {
             .iter()
             .map(|&kind| {
                 let seed = derive_seed(self.ctrl.seed, kind.index_letter() as u64);
-                self.cell_id(&self.dirty_id, format!("detect:{}", kind.name()), seed)
+                let coordinate = format!("detect:{}", kind.name());
+                let trace = self.key(&self.dirty_id, &coordinate, &self.labels, seed).hash();
+                CellId { coordinate, seed, trace }
             })
             .collect();
         let (rows, cols) = (self.ds.dirty.n_rows(), self.ds.dirty.n_cols());
@@ -401,134 +431,212 @@ impl<'a> Grid<'a> {
                 let run = harness.run(self.ds, self.detectors[i]);
                 (detect_payload(&run.mask), None, run)
             },
+            |coordinate| self.ctrl.policy.crash.when_for(coordinate),
             |cell| cell.run.failure.is_some(),
         )
     }
 
-    /// The repair phase for one detector's detections. A hit keeps the
-    /// stored payload and the produced version's identity (the aux
-    /// field) without running the repairer: its `run` stays `None`
-    /// unless an eval miss rehydrates it.
-    fn repair_phase(&self, det: &DetectorRun) -> Vec<CellRecord<Option<RepairRun>>> {
+    /// The repair phase for one mask group: per planned repairer, one
+    /// cell serving every member detector, except that each member a
+    /// scoped chaos rule names for that repairer gets a cell of its own
+    /// ([`Grid::chaos_names`]). A hit keeps the stored payload and the
+    /// produced version's identity (the aux field) without running the
+    /// repairer: its `run` stays `None` unless an eval miss rehydrates
+    /// it. A `REIN_CRASH` rule naming any coordinate a cell serves fires
+    /// at that cell's commit.
+    fn repair_phase(&self, group: &MaskGroup) -> Repairs {
         let span = rein_telemetry::span("controller:repair");
-        let ids = self
-            .repairers
+        let mut slots = Vec::new();
+        for (ri, &kind) in self.repairers.iter().enumerate() {
+            let (scoped, shared): (Vec<usize>, Vec<usize>) = (0..group.members.len())
+                .partition(|&member| self.chaos_names(kind, group.members[member].1.kind));
+            if !shared.is_empty() {
+                slots.push(RepairSlot { ri, serves: shared, scoped: false });
+            }
+            slots.extend(scoped.into_iter().map(|m| RepairSlot {
+                ri,
+                serves: vec![m],
+                scoped: true,
+            }));
+        }
+        let ids: Vec<CellId> = slots
             .iter()
-            .map(|&kind| {
+            .map(|slot| {
+                let kind = self.repairers[slot.ri];
                 let seed = derive_seed(self.ctrl.seed, kind.index() as u64);
-                let coordinate = format!("repair:{}#{}", kind.name(), det.kind.name());
-                self.cell_id(&self.dirty_id, coordinate, seed)
+                let detector = group.name(slot.serves[0]);
+                let coordinate = format!("repair:{}#{detector}", kind.name());
+                // Only a scoped cell keys on its detector; the others key
+                // on `repair:<repairer>`.
+                let strategy = if slot.scoped {
+                    &coordinate[..]
+                } else {
+                    &coordinate[..coordinate.len() - detector.len() - 1]
+                };
+                let trace = self.key(&self.dirty_id, strategy, &group.inputs, seed).hash();
+                CellId { coordinate, seed, trace }
             })
             .collect();
+        // The crash points by the coordinate each cell's commit carries.
+        let crash = &self.ctrl.policy.crash;
+        let mut armed: Vec<(String, CrashWhen)> = Vec::new();
+        if !crash.is_empty() {
+            for (id, slot) in ids.iter().zip(&slots) {
+                let repairer = self.repairers[slot.ri].name();
+                let when = slot.serves.iter().find_map(|&member| {
+                    crash.when_for(&format!("repair:{repairer}#{}", group.name(member)))
+                });
+                armed.extend(when.map(|when| (id.coordinate.clone(), when)));
+            }
+        }
+        let shared: usize = slots.iter().map(|slot| slot.serves.len() - 1).sum();
+        rein_telemetry::counter("repair_shared").add(shared as u64);
+        let detectors: Vec<&str> = (0..group.members.len()).map(|m| group.name(m)).collect();
         let lookup = self.lookup(ids, |_, _| Some(None));
-        self.compute(
-            &format!("phase=repair detector={}", det.kind.name()),
+        let cells = self.compute(
+            &format!("phase=repair detectors={} shared={shared}", detectors.join(",")),
             Some(span.ctx()),
             lookup,
             |i, id| {
-                // audit:allow(seed-provenance, id.seed was derived from self.seed and the repair kind when the cell's identity was built)
-                let run = self.repair_cell(det, i, id);
+                let run = self.repair_cell(group, &slots[i], id.seed);
                 let (payload, version_id) = repair_payload(&run);
                 (payload, version_id, Some(run))
             },
+            |coordinate| armed.iter().find(|(c, _)| c == coordinate).map(|&(_, when)| when),
             |cell| cell.run.as_ref().is_some_and(|run| run.failure.is_some()),
-        )
+        );
+        Repairs { slots, cells }
     }
 
-    /// Runs repairer `ri` on `det`'s detections under the cell's seed.
-    fn repair_cell(&self, det: &DetectorRun, ri: usize, id: &CellId) -> RepairRun {
-        let kind = self.repairers[ri];
-        run_repair_guarded(self.ds, &det.mask, kind, id.seed, det.kind.name(), &self.ctrl.policy)
+    /// Whether a scoped chaos rule names the (repairer, detector) pair on
+    /// this dataset. Such a cell keys on its detector and runs on its own,
+    /// so the rule degrades that pair alone.
+    fn chaos_names(&self, repairer: RepairKind, detector: DetectorKind) -> bool {
+        self.ctrl.policy.chaos.scoped_rule_matches(&GuardSpec {
+            phase: Phase::Repair,
+            strategy: repairer.name(),
+            dataset: &self.ds.info.name,
+            scope: detector.name(),
+            cells: 0,
+            seed: 0,
+        })
     }
 
-    /// The evaluation phase for one detector: every (scenario ×
-    /// table-producing repair) cell, keyed on the exact table version it
-    /// consumes. An eval miss whose repair was a store hit first
+    /// Runs a repair cell's repairer on its group's mask under the cell's
+    /// seed. The guard scopes a failure to the first detector the cell
+    /// serves, and each other one records a copy scoped to itself, so a
+    /// degraded shared cell records one failure per coordinate it serves.
+    fn repair_cell(&self, group: &MaskGroup, slot: &RepairSlot, seed: u64) -> RepairRun {
+        let kind = self.repairers[slot.ri];
+        let mut scopes = slot.serves.iter().map(|&member| group.name(member));
+        let scope = scopes.next().unwrap_or_default();
+        let run = run_repair_guarded(self.ds, group.mask(), kind, seed, scope, &self.ctrl.policy);
+        if let Some(failure) = &run.failure {
+            for scope in scopes {
+                StrategyFailure { scope: scope.to_string(), ..failure.clone() }.record();
+            }
+        }
+        run
+    }
+
+    /// The evaluation phase for one member detector of a mask group:
+    /// every (scenario × table-producing repair) cell, keyed on the exact
+    /// table version it consumes and seeded from the detector's plan
+    /// position. An eval miss whose repair was a store hit first
     /// rehydrates that repair live under the repair cell's own seed and
-    /// trace root. The audit's purity certificate makes the recompute
-    /// byte-identical; a payload mismatch is counted as
+    /// trace root, once for every member it serves. The recompute must
+    /// match the stored bytes; a payload mismatch is counted as
     /// `store_divergence`, never silently accepted.
     fn eval_phase(
         &self,
-        det: &DetectorRun,
-        det_ix: usize,
-        repairs: &mut [CellRecord<Option<RepairRun>>],
-        scenarios: &[Scenario],
-        repeats: usize,
+        group: &MaskGroup,
+        member: usize,
+        repairs: &mut Repairs,
+        plan: &EvalPlan,
     ) -> Vec<CellRecord<()>> {
-        if scenarios.is_empty() || repeats == 0 {
+        if plan.scenarios.is_empty() || plan.repeats == 0 {
             return Vec::new();
         }
         let span = rein_telemetry::span("controller:evaluate");
         let parent = Some(span.ctx());
-        let det_name = det.kind.name();
+        let (det_ix, det_name) = (group.members[member].0, group.name(member));
         let mut work = Vec::new();
         let mut ids = Vec::new();
-        for (si, &scenario) in scenarios.iter().enumerate() {
-            for (ri, rep) in repairs.iter().enumerate() {
-                let Some(version_id) = rep.aux.as_deref() else { continue };
-                let repairer = self.repairers[ri].name();
+        for (si, &scenario) in plan.scenarios.iter().enumerate() {
+            for (c, slot) in repairs.slots.iter().enumerate() {
+                if !slot.serves.contains(&member) {
+                    continue;
+                }
+                let Some(version_id) = repairs.cells[c].aux.as_deref() else { continue };
+                let repairer = self.repairers[slot.ri].name();
                 let coordinate = format!("eval:{}:{repairer}#{det_name}", scenario.name());
-                let position = (det_ix as u64) * 1_000 + (si as u64) * 100 + ri as u64;
+                let position = (det_ix as u64) * 1_000 + (si as u64) * 100 + slot.ri as u64;
                 let seed = derive_seed(self.ctrl.seed, 40_000 + position);
-                work.push((scenario, ri));
-                ids.push(self.cell_id(version_id, coordinate, seed));
+                let trace = self.key(version_id, &coordinate, &plan.inputs, seed).hash();
+                work.push((scenario, c));
+                ids.push(CellId { coordinate, seed, trace });
             }
         }
         let (cells, misses) = self.lookup(ids, |_, _| Some(()));
         // Each stored repair an eval miss needs is rehydrated exactly
         // once, in parallel.
         let mut need: Vec<usize> = misses.iter().map(|&(i, _)| work[i].1).collect();
-        need.retain(|&ri| repairs[ri].run.is_none());
+        need.retain(|&c| repairs.cells[c].run.is_none());
         need.sort_unstable();
         need.dedup();
         let rehydrated: Vec<(usize, RepairRun)> = need
             .par_iter()
-            .map(|&ri| {
-                let id = &repairs[ri].id;
+            .map(|&c| {
+                let id = &repairs.cells[c].id;
                 let _worker = id.trace_root(parent);
-                (ri, self.repair_cell(det, ri, id))
+                (c, self.repair_cell(group, &repairs.slots[c], id.seed))
             })
             .collect();
         if self.store.is_some() {
             rein_telemetry::counter("store_rehydrated").add(rehydrated.len() as u64);
         }
-        for (ri, run) in rehydrated {
-            if repair_payload(&run).0 != *repairs[ri].payload {
+        for (c, run) in rehydrated {
+            if repair_payload(&run).0 != *repairs.cells[c].payload {
                 rein_telemetry::counter("store_divergence").incr();
             }
-            repairs[ri].run = Some(run);
+            repairs.cells[c].run = Some(run);
         }
-        let repairs = &*repairs;
+        let repairs = &repairs.cells;
         self.compute(
             &format!("phase=eval detector={det_name}"),
             parent,
             (cells, misses),
             |i, id| {
-                let (scenario, ri) = work[i];
-                let version = repairs[ri].run.as_ref().and_then(|run| run.version.as_ref());
+                let (scenario, c) = work[i];
+                let version = repairs[c].run.as_ref().and_then(|run| run.version.as_ref());
                 // audit:allow(panic, eval cells exist only for version-producing repairs, and each miss's repair ran live or was rehydrated above)
                 let version = version.expect("versioned repair");
-                (self.ctrl.eval_cell(self.ds, scenario, version, repeats, id.seed), None, ())
+                (self.ctrl.eval_cell(self.ds, scenario, version, plan.repeats, id.seed), None, ())
             },
+            |coordinate| self.ctrl.policy.crash.when_for(coordinate),
             |cell| cell.payload.contains(" failure:"),
         )
     }
 
-    /// Builds one cell's identity: a single [`CellKey`] whose hash is
-    /// both the trace id and, as hex, the store digest. The key borrows
-    /// every component, so hashing it allocates nothing.
-    fn cell_id(&self, dataset_version: &str, coordinate: String, seed: u64) -> CellId {
-        let key = CellKey {
+    /// One cell's [`CellKey`], borrowing every component: its hash is
+    /// both the trace id and, as hex, the store digest, and hashing it
+    /// allocates nothing.
+    fn key<'k>(
+        &'k self,
+        dataset_version: &'k str,
+        strategy: &'k str,
+        inputs: &'k str,
+        seed: u64,
+    ) -> CellKey<'k> {
+        CellKey {
             dataset: self.ds.info.name.as_str().into(),
             dataset_version: dataset_version.into(),
-            strategy: coordinate.as_str().into(),
+            strategy: strategy.into(),
+            inputs: inputs.into(),
             seed,
             scale: self.ctrl.scale,
             guard_policy: self.guard_policy.as_str().into(),
-        };
-        let trace = key.hash();
-        CellId { coordinate, seed, trace }
+        }
     }
 
     /// Looks each cell up in the store, one by one in plan order.
@@ -555,16 +663,19 @@ impl<'a> Grid<'a> {
     /// Computes every miss in parallel under its trace root, commits the
     /// computed cells at the phase's merge point and prints the phase's
     /// progress line. `compute_cell` returns a miss's payload, aux
-    /// identity and run; `failed` picks the cells counted as degraded.
-    /// The worker moves each payload into one shared allocation, which
-    /// the staged record, the store's index and the cell record all hold.
-    /// Store counters move only when a store is attached.
+    /// identity and run; `crash_when` is the `REIN_CRASH` point of a
+    /// commit, by the coordinate it carries; `failed` picks the cells
+    /// counted as degraded. The worker moves each payload into one shared
+    /// allocation, which the staged record, the store's index and the
+    /// cell record all hold. Store counters move only when a store is
+    /// attached.
     fn compute<R: Send>(
         &self,
         label: &str,
         parent: Option<SpanCtx>,
         (mut cells, misses): Lookup<R>,
         compute_cell: impl Fn(usize, &CellId) -> (String, Option<String>, R) + Sync,
+        crash_when: impl Fn(&str) -> Option<CrashWhen>,
         failed: impl Fn(&CellRecord<R>) -> bool,
     ) -> Vec<CellRecord<R>> {
         let hits = cells.len() - misses.len();
@@ -594,7 +705,7 @@ impl<'a> Grid<'a> {
             // `REIN_CRASH` rules become commit-point injection. A commit I/O
             // failure is counted, never fatal: the cells are already correct.
             let crash = |coordinate: &str| {
-                self.ctrl.policy.crash.when_for(coordinate).map(|when| match when {
+                crash_when(coordinate).map(|when| match when {
                     CrashWhen::Before => CrashPoint::Before,
                     CrashWhen::After => CrashPoint::After,
                 })
@@ -613,6 +724,86 @@ impl<'a> Grid<'a> {
         ));
         cells
     }
+}
+
+/// Detectors whose detect cells emitted byte-equal masks, in plan order,
+/// and the mask's key component. A repair consumes only the mask: its
+/// seed derives from the repairer and its guard budget from the mask's
+/// cell count, so one repair cell can serve every member.
+struct MaskGroup<'d> {
+    /// Each member's plan position and run.
+    members: Vec<(usize, &'d DetectorRun)>,
+    /// `mask=<digest>`: the `inputs` key component of the group's
+    /// repair cells, FNV-1a-64 of the members' detect payload.
+    inputs: String,
+}
+
+impl<'d> MaskGroup<'d> {
+    /// Groups the detect cells by payload, in plan order of each mask's
+    /// first appearance.
+    fn of(detections: &'d [CellRecord<DetectorRun>]) -> Vec<Self> {
+        let mut groups: Vec<(&str, MaskGroup<'d>)> = Vec::new();
+        for (ix, det) in detections.iter().enumerate() {
+            match groups.iter_mut().find(|(payload, _)| **payload == *det.payload) {
+                Some((_, group)) => group.members.push((ix, &det.run)),
+                None => groups.push((
+                    &det.payload,
+                    MaskGroup { members: vec![(ix, &det.run)], inputs: mask_inputs(&det.payload) },
+                )),
+            }
+        }
+        groups.into_iter().map(|(_, group)| group).collect()
+    }
+
+    /// The group of one detection, outside a grid.
+    fn single(detection: &'d DetectorRun) -> Self {
+        let inputs = mask_inputs(&detect_payload(&detection.mask));
+        MaskGroup { members: vec![(0, detection)], inputs }
+    }
+
+    /// The mask every member emitted.
+    fn mask(&self) -> &CellMask {
+        &self.members[0].1.mask
+    }
+
+    /// Member `member`'s detector name.
+    fn name(&self, member: usize) -> &'static str {
+        self.members[member].1.kind.name()
+    }
+}
+
+/// The `inputs` key component of a repair of the mask whose detect
+/// payload is `payload`.
+fn mask_inputs(payload: &str) -> String {
+    format!("mask={}", rein_ledger::content_key(payload))
+}
+
+/// One repair cell of a mask group: its repairer and the members it
+/// serves.
+struct RepairSlot {
+    /// The repairer's plan position.
+    ri: usize,
+    /// Indexes into [`MaskGroup::members`], in plan order; the first
+    /// names the cell's coordinate and guard scope.
+    serves: Vec<usize>,
+    /// Whether a scoped chaos rule names the pair, so the key keeps the
+    /// detector.
+    scoped: bool,
+}
+
+/// A mask group's repair cells in plan order, one per slot.
+struct Repairs {
+    slots: Vec<RepairSlot>,
+    cells: Vec<CellRecord<Option<RepairRun>>>,
+}
+
+/// The eval phases' shared inputs.
+struct EvalPlan<'s> {
+    scenarios: &'s [Scenario],
+    /// Scores per eval cell.
+    repeats: usize,
+    /// `repeats=<n>`: the `inputs` key component of every eval cell.
+    inputs: String,
 }
 
 /// One grid cell's identity, built once in plan order.
@@ -779,11 +970,13 @@ mod tests {
         let seed_a = derive_seed(ctrl.seed, 40_000);
         let seed_b = derive_seed(ctrl.seed, 40_001);
         let vid = version.content_identity();
-        let a = ctrl.cell_key(&ds, &vid, "eval:S1:ImputeMeanMode#Raha", 0.2, seed_a);
-        let b = ctrl.cell_key(&ds, &vid, "eval:S1:ImputeMeanMode#MaxEntropy", 0.2, seed_b);
+        let a = ctrl.cell_key(&ds, &vid, "eval:S1:ImputeMeanMode#Raha", "repeats=1", 0.2, seed_a);
+        let b =
+            ctrl.cell_key(&ds, &vid, "eval:S1:ImputeMeanMode#MaxEntropy", "repeats=1", 0.2, seed_b);
         assert_ne!(a.content_key(), b.content_key());
         // Rebuilding the key from the same coordinates is byte-stable.
-        let again = ctrl.cell_key(&ds, &vid, "eval:S1:ImputeMeanMode#Raha", 0.2, seed_a);
+        let again =
+            ctrl.cell_key(&ds, &vid, "eval:S1:ImputeMeanMode#Raha", "repeats=1", 0.2, seed_a);
         assert_eq!(a, again);
         assert_eq!(a.content_key(), again.content_key());
         // The grid's stack-rendered store digest is the key's content key.
@@ -799,20 +992,39 @@ mod tests {
         assert!(vid.starts_with("v:") && vid.len() == 18, "got {vid}");
     }
 
+    /// The cells a fault-free grid computes for its map `cells`: every
+    /// detect and eval cell, and one repair cell per distinct (repairer,
+    /// detection mask) pair.
+    fn computed_cells(cells: &BTreeMap<String, String>) -> usize {
+        let mut repairs = std::collections::BTreeSet::new();
+        let mut others = 0;
+        for coordinate in cells.keys() {
+            match coordinate.strip_prefix("repair:").and_then(|pair| pair.split_once('#')) {
+                Some((repairer, det)) => {
+                    repairs.insert((repairer, &cells[&format!("detect:{det}")]));
+                }
+                None => others += 1,
+            }
+        }
+        others + repairs.len()
+    }
+
     #[test]
     fn grid_cells_open_trace_roots_keyed_by_cell_key_digest() {
         let ds = DatasetId::BreastCancer.generate(&Params::scaled(0.2, 6));
         // A seed no other test's grid uses: the span sink is process-
-        // global, so this run's roots are isolated by their trace ids.
+        // global, so this run's roots are isolated by their trace ids. At
+        // this seed mv_detector and ed2 emit one mask, and so do
+        // metadata_driven and raha.
         let ctrl =
-            Controller { label_budget: 30, seed: 0xC311, scale: 0.2, ..Controller::default() };
+            Controller { label_budget: 30, seed: 0xC316, scale: 0.2, ..Controller::default() };
         let cells = ctrl.run_grid(&ds, &[Scenario::S1], 1);
         let spans = rein_telemetry::snapshot_spans();
         let roots: Vec<_> =
             spans.iter().filter(|s| s.name.starts_with("cell:") && !s.instant).collect();
         assert!(!roots.is_empty(), "grid must open cell trace roots");
         assert!(roots.iter().all(|s| s.trace_id != 0), "cell roots are never ambient");
-        // Every planned cell's trace id is recomputable from its CellKey,
+        // Every computed cell's trace id is recomputable from its CellKey,
         // built here with owned components and an identity rendered from
         // scratch — and the recorded roots carry exactly those ids.
         // (The snapshot is process-global, so selection is by trace id,
@@ -821,18 +1033,29 @@ mod tests {
         let plan = ctrl.plan(&ds);
         let repairers: Vec<RepairKind> =
             plan.generic_repairers.iter().chain(&plan.ml_repairers).copied().collect();
-        let key = |version: &str, coordinate: &str, seed: u64| {
-            ctrl.cell_key(&ds, version, coordinate, ctrl.scale, seed).hash()
+        let key = |version: &str, strategy: &str, inputs: &str, seed: u64| {
+            ctrl.cell_key(&ds, version, strategy, inputs, ctrl.scale, seed).hash()
         };
+        let mask_of = |det: &DetectorKind| &cells[&format!("detect:{}", det.name())];
+        // (coordinate its root is named for, trace id) per computed cell.
         let mut this_run: Vec<(String, u64)> = Vec::new();
         for (det_ix, det) in plan.detectors.iter().enumerate() {
             let detect = format!("detect:{}", det.name());
             let seed = derive_seed(ctrl.seed, det.index_letter() as u64);
-            this_run.push((detect.clone(), key(&dirty_id, &detect, seed)));
+            this_run.push((detect.clone(), key(&dirty_id, &detect, "labels=30", seed)));
+            // A repair cell keys on its repairer and the mask, and its root
+            // is named for the first detector in plan order that emitted
+            // the mask: one root for every coordinate it serves.
+            let mask = mask_of(det);
+            let first = plan.detectors.iter().find(|d| mask_of(d) == mask).unwrap();
+            let inputs = format!("mask={}", rein_ledger::content_key(mask));
             for (ri, rep) in repairers.iter().enumerate() {
                 let repair = format!("repair:{}#{}", rep.name(), det.name());
-                let seed = derive_seed(ctrl.seed, rep.index() as u64);
-                this_run.push((repair.clone(), key(&dirty_id, &repair, seed)));
+                if first == det {
+                    let seed = derive_seed(ctrl.seed, rep.index() as u64);
+                    let strategy = format!("repair:{}", rep.name());
+                    this_run.push((repair.clone(), key(&dirty_id, &strategy, &inputs, seed)));
+                }
                 // An eval cell keys on the version its repair produced: the
                 // identity of the payload's CSV and row map.
                 let mut parts = cells[&repair].rsplitn(3, '\n');
@@ -846,19 +1069,19 @@ mod tests {
                 let eval = format!("eval:S1:{}#{}", rep.name(), det.name());
                 assert!(cells.contains_key(&eval), "{repair} produced a version");
                 let seed = derive_seed(ctrl.seed, 40_000 + (det_ix as u64) * 1_000 + ri as u64);
-                this_run.push((eval.clone(), key(&version, &eval, seed)));
+                this_run.push((eval.clone(), key(&version, &eval, "repeats=1", seed)));
             }
         }
-        assert_eq!(this_run.len(), cells.len(), "every grid cell is accounted for");
+        assert_eq!(this_run.len(), computed_cells(&cells), "every computed cell is accounted for");
+        assert!(this_run.len() < cells.len(), "this grid shares repair cells");
         let mut unique: Vec<u64> = this_run.iter().map(|(_, id)| *id).collect();
         unique.sort_unstable();
         unique.dedup();
         assert_eq!(unique.len(), this_run.len(), "cell trace ids are distinct");
         for (coordinate, id) in &this_run {
-            let root = roots
-                .iter()
-                .find(|s| s.trace_id == *id)
-                .unwrap_or_else(|| panic!("no trace root recorded for {coordinate}"));
+            let [root] = roots.iter().filter(|s| s.trace_id == *id).collect::<Vec<_>>()[..] else {
+                panic!("not exactly one trace root recorded for {coordinate}");
+            };
             assert_eq!(root.name, format!("cell:{coordinate}"), "root named for its coordinate");
             // Guard spans opened inside a detection cell inherit the root's trace.
             if coordinate.starts_with("detect:") {
@@ -904,10 +1127,13 @@ mod tests {
         let ctrl = Controller { store: Some(store.clone()), ..direct };
         let dirty_id = table_identity(&ds.dirty);
         let detectors = ctrl.plan(&ds).detectors;
+        let detect_key = |coordinate: &str, det: &DetectorKind| {
+            let seed = derive_seed(ctrl.seed, det.index_letter() as u64);
+            ctrl.cell_key(&ds, &dirty_id, coordinate, "labels=30", ctrl.scale, seed).content_key()
+        };
         for (i, det) in detectors.iter().enumerate() {
             let coordinate = format!("detect:{}", det.name());
-            let seed = derive_seed(ctrl.seed, det.index_letter() as u64);
-            let key = ctrl.cell_key(&ds, &dirty_id, &coordinate, ctrl.scale, seed).content_key();
+            let key = detect_key(&coordinate, det);
             store.commit_one(&key, &coordinate, &bad[i % bad.len()], None).unwrap();
         }
 
@@ -916,8 +1142,7 @@ mod tests {
         // Each miss committed its recomputed mask over the bad one.
         for det in &detectors {
             let coordinate = format!("detect:{}", det.name());
-            let seed = derive_seed(ctrl.seed, det.index_letter() as u64);
-            let key = ctrl.cell_key(&ds, &dirty_id, &coordinate, ctrl.scale, seed).content_key();
+            let key = detect_key(&coordinate, det);
             assert_eq!(&*store.lookup(&key).unwrap().payload, want[&coordinate]);
         }
         let _ = std::fs::remove_dir_all(&root);
@@ -937,14 +1162,18 @@ mod tests {
         let ctrl = Controller { store: Some(store.clone()), ..direct.clone() };
         let cold = ctrl.run_grid(&ds, &[Scenario::S1], 1);
         assert_eq!(want, cold, "cold store-backed grid diverges from direct grid");
-        assert_eq!(store.cell_count(), want.len(), "every grid cell committed");
+        // One record per computed cell: coordinates whose detectors emitted
+        // one mask share their repair records.
+        let computed = computed_cells(&want);
+        assert!(computed < want.len(), "this grid shares repair cells");
+        assert_eq!(store.cell_count(), computed, "every computed cell committed");
         drop(ctrl);
         drop(store);
 
         // Reopen from disk: the journal replays every committed cell and
         // a fully-warm grid replays byte-identical payloads.
         let reopened = Arc::new(Store::open(&root).unwrap());
-        assert_eq!(reopened.cell_count(), want.len(), "journal replay is lossless");
+        assert_eq!(reopened.cell_count(), computed, "journal replay is lossless");
         assert!(reopened.recovery().quarantined.is_empty());
         let warm_ctrl = Controller { store: Some(reopened), ..direct };
         let warm = warm_ctrl.run_grid(&ds, &[Scenario::S1], 1);
@@ -965,15 +1194,18 @@ mod tests {
         let store = Arc::new(Store::open(&root).unwrap());
         let ctrl = Controller { store: Some(store.clone()), ..direct };
         let s1 = ctrl.run_grid(&ds, &[Scenario::S1], 1);
-        assert_eq!(store.cell_count(), s1.len());
+        let s1_cells = computed_cells(&s1);
+        assert!(s1_cells < s1.len(), "this grid shares repair cells");
+        assert_eq!(store.cell_count(), s1_cells);
 
         // The S1+S2 grid hits every detect, repair and S1 eval cell. Each
-        // S2 eval cell misses and evaluates a rehydrated stored repair.
+        // S2 eval cell misses and evaluates a rehydrated stored repair,
+        // which a shared repair cell rehydrates once for all its detectors.
         let got = ctrl.run_grid(&ds, &both, 1);
         assert_eq!(want, got, "rehydrated grid diverges from the store-less grid");
         let s2_evals = want.keys().filter(|k| k.starts_with("eval:S2:")).count();
         assert!(s2_evals > 0, "got {:?}", want.keys());
-        assert_eq!(store.cell_count(), s1.len() + s2_evals, "only the S2 eval cells committed");
+        assert_eq!(store.cell_count(), s1_cells + s2_evals, "only the S2 eval cells committed");
         drop(ctrl);
         drop(store);
 
@@ -983,9 +1215,73 @@ mod tests {
         let reopened = Store::open(&root).unwrap();
         assert_eq!(
             reopened.recovery().replayed,
-            (s1.len() + s2_evals) as u64,
+            (s1_cells + s2_evals) as u64,
             "the S1+S2 grid journalled only its S2 eval cells"
         );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Writes a store with `write`'s S1 grid, reopens it and runs
+    /// `read`'s grid against it: the map must equal `read`'s store-less
+    /// grid. The two grids must differ, or the store could not replay a
+    /// stale cell.
+    fn reopened_store_serves_only_its_own_inputs(
+        tag: &str,
+        ds: &GeneratedDataset,
+        (write, write_repeats): (&Controller, usize),
+        (read, read_repeats): (&Controller, usize),
+    ) {
+        let root = std::env::temp_dir().join(format!("rein-ctrl-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let want = read.run_grid(ds, &[Scenario::S1], read_repeats);
+        let store = Some(Arc::new(Store::open(&root).unwrap()));
+        let written =
+            Controller { store, ..write.clone() }.run_grid(ds, &[Scenario::S1], write_repeats);
+        assert_ne!(want, written, "the {tag} change must change the grid");
+        let store = Some(Arc::new(Store::open(&root).unwrap()));
+        let got = Controller { store, ..read.clone() }.run_grid(ds, &[Scenario::S1], read_repeats);
+        let stale = want.iter().filter(|(k, v)| got.get(*k) != Some(*v)).count();
+        assert_eq!(stale, 0, "{stale} of {} cells replayed from another {tag}", want.len());
+        assert_eq!(want, got);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_store_written_under_another_label_budget_replays_no_cell() {
+        let ds = DatasetId::Beers.generate(&Params::scaled(0.05, 6));
+        let at = |label_budget| Controller { label_budget, seed: 7, ..Controller::default() };
+        reopened_store_serves_only_its_own_inputs("budget", &ds, (&at(30), 1), (&at(80), 1));
+    }
+
+    #[test]
+    fn a_store_written_under_other_repeats_replays_no_cell() {
+        let ds = DatasetId::Beers.generate(&Params::scaled(0.05, 6));
+        let ctrl = Controller { label_budget: 30, seed: 7, ..Controller::default() };
+        reopened_store_serves_only_its_own_inputs("repeats", &ds, (&ctrl, 1), (&ctrl, 3));
+    }
+
+    #[test]
+    fn repairs_stored_for_one_mask_never_replay_for_another() {
+        let ds = DatasetId::Nasa.generate(&Params::scaled(0.05, 6));
+        let root = std::env::temp_dir().join(format!("rein-ctrl-stalemask-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let ctrl = Controller { label_budget: 30, seed: 7, ..Controller::default() };
+        // One detector, two masks: its first flagged cell dropped from B.
+        let (rows, cols) = (ds.dirty.n_rows(), ds.dirty.n_cols());
+        let mask_b = CellMask::from_cells(rows, cols, ds.mask.iter().skip(1));
+        let run_a = replay_detector_run(&ds, DetectorKind::Iqr, ds.mask.clone());
+        let run_b = replay_detector_run(&ds, DetectorKind::Iqr, mask_b);
+        let payloads = |repairs: Repairs| -> Vec<String> {
+            repairs.cells.iter().map(|cell| String::from(&*cell.payload)).collect()
+        };
+
+        let store = Store::open(&root).unwrap();
+        let grid = Grid::new(&ctrl, Some(&store), &ds);
+        let stored_a = payloads(grid.repair_phase(&MaskGroup::single(&run_a)));
+        let got = payloads(grid.repair_phase(&MaskGroup::single(&run_b)));
+        let want = payloads(Grid::new(&ctrl, None, &ds).repair_phase(&MaskGroup::single(&run_b)));
+        assert_ne!(stored_a, want, "the two masks must repair differently");
+        assert_eq!(got, want, "repairs of mask B replayed mask A's stored payloads");
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -1000,15 +1296,15 @@ mod tests {
         // A crashed run and its resume (without REIN_CRASH) must address
         // the same cells: the crash spec is not a cache-key component.
         assert_eq!(
-            base.cell_key(&ds, &vid, "detect:raha", 0.2, seed).content_key(),
-            crashy.cell_key(&ds, &vid, "detect:raha", 0.2, seed).content_key(),
+            base.cell_key(&ds, &vid, "detect:raha", "labels=30", 0.2, seed).content_key(),
+            crashy.cell_key(&ds, &vid, "detect:raha", "labels=30", 0.2, seed).content_key(),
         );
         // Chaos degrades what a cell computes, so it still keys.
         let mut chaotic = base.clone();
         chaotic.policy.chaos = rein_guard::ChaosSpec::parse("detect:raha=panic").unwrap();
         assert_ne!(
-            base.cell_key(&ds, &vid, "detect:raha", 0.2, seed).content_key(),
-            chaotic.cell_key(&ds, &vid, "detect:raha", 0.2, seed).content_key(),
+            base.cell_key(&ds, &vid, "detect:raha", "labels=30", 0.2, seed).content_key(),
+            chaotic.cell_key(&ds, &vid, "detect:raha", "labels=30", 0.2, seed).content_key(),
         );
     }
 

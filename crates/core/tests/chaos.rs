@@ -2,11 +2,15 @@
 //! runs are deterministic, degrade exactly the injected cells, and leave
 //! every other cell byte-identical to a fault-free run.
 //!
-//! All assertions read the `failure` field returned on each run — never
-//! the global telemetry registry, which parallel tests share.
+//! The assertions read the `failure` field returned on each run, except
+//! that the grid tests read the global telemetry registry, which
+//! parallel tests share: each reads only the records of the one dataset
+//! and repairer it injects into.
+
+use std::collections::BTreeMap;
 
 use rein_core::{
-    run_repair_guarded, ChaosSpec, Controller, DetectorHarness, FailureCause, GuardPolicy,
+    run_repair_guarded, ChaosSpec, Controller, DetectorHarness, FailureCause, GuardPolicy, Scenario,
 };
 use rein_data::CellMask;
 use rein_datasets::{DatasetId, GeneratedDataset, Params};
@@ -214,4 +218,98 @@ fn controller_completes_the_plan_with_exactly_the_injected_failures() {
             );
         }
     }
+}
+
+/// Nasa ×0.05, on which min_k, metadata_driven and raha emit one mask at
+/// seed 7, so their repairs share cells.
+fn shared_mask_dataset() -> GeneratedDataset {
+    DatasetId::Nasa.generate(&Params::scaled(0.05, 7))
+}
+
+/// The S1 grid of [`shared_mask_dataset`] under `chaos`, and the failure
+/// records it left for `repairer`, as `(scope, cause, trace id)`.
+fn grid_under(chaos: &str, repairer: &str) -> (BTreeMap<String, String>, Vec<[String; 3]>) {
+    let ds = shared_mask_dataset();
+    let policy = GuardPolicy::with_chaos(ChaosSpec::parse(chaos).unwrap());
+    let ctrl = Controller { label_budget: 30, seed: 7, policy, ..Controller::default() };
+    let cells = ctrl.run_grid(&ds, &[Scenario::S1], 1);
+    let failures = rein_telemetry::failures_snapshot()
+        .into_iter()
+        .filter(|f| f.dataset == ds.info.name && f.phase == "repair" && f.strategy == repairer)
+        .map(|f| [f.scope, f.cause, f.trace_id])
+        .collect();
+    (cells, failures)
+}
+
+/// The root span name of the trace `trace_id` (16 hex digits).
+fn root_of(trace_id: &str) -> String {
+    let spans = rein_telemetry::snapshot_spans();
+    let root = spans
+        .iter()
+        .find(|s| format!("{:016x}", s.trace_id) == trace_id && s.name.starts_with("cell:"))
+        .unwrap_or_else(|| panic!("no cell root for trace {trace_id}"));
+    root.name.clone()
+}
+
+/// The first of the `planned` detectors whose detect cell in `cells`
+/// holds the same mask as `detector`'s.
+fn first_with_mask_of(
+    cells: &BTreeMap<String, String>,
+    planned: &[DetectorKind],
+    detector: &str,
+) -> &'static str {
+    let mask = &cells[&format!("detect:{detector}")];
+    let first = planned.iter().find(|d| cells[&format!("detect:{}", d.name())] == *mask);
+    first.unwrap().name()
+}
+
+#[test]
+fn scoped_repair_chaos_degrades_only_its_pair_of_a_shared_mask() {
+    let ds = shared_mask_dataset();
+    let planned = Controller::default().plan(&ds).detectors;
+    let fault_free = Controller { label_budget: 30, seed: 7, ..Controller::default() };
+    let baseline = fault_free.run_grid(&ds, &[Scenario::S1], 1);
+    // metadata_driven is not the first of its mask's detectors, so the
+    // rule splits its pair off a shared cell.
+    assert_eq!(first_with_mask_of(&baseline, &planned, "metadata_driven"), "min_k");
+    assert_eq!(first_with_mask_of(&baseline, &planned, "raha"), "min_k");
+
+    let (cells, failures) =
+        grid_under("repair:impute_mean_mode#metadata_driven=stall", "impute_mean_mode");
+    let [[scope, cause, trace]] = &failures[..] else {
+        panic!("exactly one failure expected, got {failures:?}");
+    };
+    assert_eq!(scope, "metadata_driven");
+    assert!(cause.starts_with("budget exhausted"), "{cause}");
+    assert_eq!(root_of(trace), "cell:repair:impute_mean_mode#metadata_driven");
+    // Only the pair and the eval cell of its version changed.
+    let changed: Vec<&String> =
+        baseline.keys().filter(|k| cells.get(*k) != Some(&baseline[*k])).collect();
+    assert_eq!(
+        changed,
+        ["eval:S1:impute_mean_mode#metadata_driven", "repair:impute_mean_mode#metadata_driven"]
+    );
+    assert_eq!(cells.len(), baseline.len());
+}
+
+#[test]
+fn unscoped_repair_chaos_records_one_failure_per_coordinate_of_a_shared_cell() {
+    let planned = Controller::default().plan(&shared_mask_dataset()).detectors;
+    let (cells, failures) = grid_under("repair:impute_median_mode=stall", "impute_median_mode");
+    // The failure set of unshared cells: one record per planned
+    // detector, scoped to it, with the same cause.
+    let scopes: Vec<&str> = failures.iter().map(|[scope, _, _]| scope.as_str()).collect();
+    let mut names: Vec<&str> = planned.iter().map(|d| d.name()).collect();
+    names.sort_unstable();
+    assert_eq!(scopes, names);
+    assert!(failures.iter().all(|[_, cause, _]| *cause == failures[0][1]), "{failures:?}");
+    // Each record links the trace of the one cell that served its
+    // coordinate: the shared cell is rooted at its first detector's pair.
+    for [scope, _, trace] in &failures {
+        let first = first_with_mask_of(&cells, &planned, scope);
+        assert_eq!(root_of(trace), format!("cell:repair:impute_median_mode#{first}"), "{scope}");
+    }
+    let traces: std::collections::BTreeSet<&str> =
+        failures.iter().map(|[_, _, trace]| trace.as_str()).collect();
+    assert!(traces.len() < failures.len(), "the shared cell degraded once");
 }

@@ -152,6 +152,13 @@ impl ChaosSpec {
     pub fn mode_for(&self, spec: &GuardSpec<'_>) -> Option<ChaosMode> {
         self.rules.iter().find(|r| r.matches(spec)).map(|r| r.mode)
     }
+
+    /// Whether a rule with a `#scope` filter matches the guarded call,
+    /// singling out its sub-grid cell (for a repair, one detector's
+    /// pairing) from the strategy's other cells.
+    pub fn scoped_rule_matches(&self, spec: &GuardSpec<'_>) -> bool {
+        self.rules.iter().any(|r| r.scope.is_some() && r.matches(spec))
+    }
 }
 
 #[cfg(test)]
@@ -181,6 +188,10 @@ mod tests {
         assert_eq!(c.mode_for(&spec(Phase::Repair, "baran", "beers", "raha")), None);
         // Dataset filter.
         assert_eq!(c.mode_for(&spec(Phase::Repair, "baran", "nasa", "ed2")), None);
+        // Only the scoped rule singles out its cell.
+        assert!(c.scoped_rule_matches(&spec(Phase::Repair, "baran", "beers", "ed2")));
+        assert!(!c.scoped_rule_matches(&spec(Phase::Repair, "baran", "beers", "raha")));
+        assert!(!c.scoped_rule_matches(&spec(Phase::Detect, "raha", "beers", "")));
     }
 
     #[test]

@@ -218,6 +218,13 @@ pub struct StrategyFailure {
 }
 
 impl StrategyFailure {
+    /// Counts the failure and appends it to the telemetry failure
+    /// registry, so it lands in the run manifest's `failures` array.
+    pub fn record(&self) {
+        rein_telemetry::counter("strategy_failures").incr();
+        rein_telemetry::record_failure(self.to_record());
+    }
+
     /// Converts to the serializable telemetry record.
     pub fn to_record(&self) -> rein_telemetry::FailureRecord {
         rein_telemetry::FailureRecord {
@@ -444,8 +451,7 @@ pub fn run<T>(
         elapsed,
         trace_id,
     };
-    rein_telemetry::counter("strategy_failures").incr();
-    rein_telemetry::record_failure(failure.to_record());
+    failure.record();
     GuardReport { outcome: Err(failure), elapsed, attempts }
 }
 
