@@ -5,10 +5,10 @@
 //! Resolution is deliberately an *over-approximation*: a method call
 //! resolves to every same-name function (this is how dynamic dispatch
 //! through `Box<dyn Detector>` stays visible), and an unqualified call
-//! prefers same-file, then same-crate, then any match. Reachability
-//! rules (toolbox-parity, panic-reachability) want exactly this
-//! direction of error: claiming slightly too much reachability, never
-//! too little, so a "module unreachable" finding is trustworthy.
+//! prefers same-file, then same-crate, then any match. The region rules
+//! (the parallel region of §6g, the compute region of §6h) want exactly
+//! this direction of error: claiming slightly too much reachability,
+//! never too little, so no reachable read or mutation goes unchecked.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -44,8 +44,6 @@ pub struct CallGraph {
     pub by_name: BTreeMap<String, Vec<usize>>,
     /// Forward adjacency (caller → callees).
     pub edges: Vec<BTreeSet<usize>>,
-    /// Reverse adjacency (callee → callers).
-    pub redges: Vec<BTreeSet<usize>>,
 }
 
 /// Crate short name for a workspace-relative path.
@@ -88,13 +86,11 @@ impl CallGraph {
             }
         }
         g.edges = vec![BTreeSet::new(); g.nodes.len()];
-        g.redges = vec![BTreeSet::new(); g.nodes.len()];
         for caller in 0..g.nodes.len() {
             let calls = g.nodes[caller].func.calls.clone();
             for call in &calls {
                 for callee in g.resolve(caller, call) {
                     g.edges[caller].insert(callee);
-                    g.redges[callee].insert(caller);
                 }
             }
         }
@@ -175,25 +171,16 @@ impl CallGraph {
 
     /// Forward BFS: every node reachable from `roots` (roots included).
     pub fn reachable_from(&self, roots: &[usize]) -> Vec<bool> {
-        self.bfs(roots, &self.edges)
-    }
-
-    /// Reverse BFS: every node that can reach one of `sources`.
-    pub fn reaching(&self, sources: &[usize]) -> Vec<bool> {
-        self.bfs(sources, &self.redges)
-    }
-
-    fn bfs(&self, start: &[usize], adj: &[BTreeSet<usize>]) -> Vec<bool> {
         let mut seen = vec![false; self.nodes.len()];
         let mut queue: Vec<usize> = Vec::new();
-        for &s in start {
+        for &s in roots {
             if s < seen.len() && !seen[s] {
                 seen[s] = true;
                 queue.push(s);
             }
         }
         while let Some(n) = queue.pop() {
-            for &m in &adj[n] {
+            for &m in &self.edges[n] {
                 if !seen[m] {
                     seen[m] = true;
                     queue.push(m);
@@ -267,7 +254,7 @@ mod tests {
     }
 
     #[test]
-    fn reachability_forward_and_reverse() {
+    fn reachability_follows_call_edges() {
         let (g, _) = graph(&[(
             "crates/core/src/x.rs",
             "pub fn a() { b(); }\nfn b() { c(); }\nfn c() {}\nfn island() {}\n",
@@ -277,7 +264,7 @@ mod tests {
         let island = node(&g, "island");
         let fwd = g.reachable_from(&[a]);
         assert!(fwd[c] && !fwd[island]);
-        let rev = g.reaching(&[c]);
-        assert!(rev[a] && !rev[island]);
+        let from_leaf = g.reachable_from(&[c]);
+        assert!(!from_leaf[a], "edges run caller to callee only");
     }
 }

@@ -15,9 +15,6 @@
 //!   function whose inputs arrive only through its parameters is
 //!   *key-pure* at the entry points, because every entry-point parameter
 //!   traces to a declared key component;
-//! * the **hot-loop allocation scan** — a ranked, non-blocking worklist
-//!   of allocation calls inside detector/repair kernel loops, feeding
-//!   the columnar-rewrite backlog;
 //! * the **float reduction order check** — non-associative float
 //!   accumulation (`.sum()` / `.product()`) downstream of a rayon
 //!   parallel marker must route through a registered ordered reducer.
@@ -36,10 +33,10 @@ use crate::semantic::{Sink, WorkspaceModel};
 
 /// The cell-compute entry points: `(impl type, function name)`, matched
 /// against functions defined under `crates/core/src/`. `None` matches a
-/// free function. These are exactly the guarded dispatch surfaces the
-/// `guard-coverage` rule funnels every detector/repair/eval call
-/// through, plus the grid driver itself — certifying them key-pure
-/// certifies every cell computation.
+/// free function. These are exactly the guarded dispatch surfaces every
+/// detector/repair/eval call goes through (`crates/core/tests/guard_coverage.rs`
+/// runs every kind through them), plus `Controller::run_grid` itself —
+/// certifying them key-pure certifies every cell computation.
 pub const ENTRY_POINTS: [(Option<&str>, &str); 6] = [
     (Some("DetectorHarness"), "run"),
     (None, "detect_with_context"),
@@ -52,25 +49,6 @@ pub const ENTRY_POINTS: [(Option<&str>, &str); 6] = [
 /// The entry-point table, exposed for the dogfood/certificate tests.
 pub fn entry_points() -> &'static [(Option<&'static str>, &'static str)] {
     &ENTRY_POINTS
-}
-
-/// Allocation-shaped tokens the hot-loop scan looks for inside
-/// detector/repair kernel loops.
-pub const ALLOC_TOKENS: [&str; 9] = [
-    "Vec::new",
-    "vec!",
-    ".clone()",
-    ".to_string()",
-    ".to_owned()",
-    ".to_vec()",
-    "format!",
-    "String::new",
-    ".collect()",
-];
-
-/// The alloc-token list, exposed for docs and the worklist generator.
-pub fn alloc_tokens() -> &'static [&'static str] {
-    &ALLOC_TOKENS
 }
 
 /// Whether `n` participates in cell-compute dataflow at all. The
@@ -177,9 +155,8 @@ pub(crate) struct TaintSource {
 }
 
 /// Environment-read detection: `std::env::var` and friends. Returns the
-/// rendered callee on a match. Shared with the `env-read-confinement`
-/// rule so the two stay in sync.
-pub(crate) fn env_read(call: &Call) -> Option<String> {
+/// rendered callee on a match.
+fn env_read(call: &Call) -> Option<String> {
     let name = call.callee.name();
     let is_read = matches!(name, "var" | "var_os" | "vars" | "vars_os");
     if is_read && call.callee.qualifier() == Some("env") {
@@ -294,94 +271,6 @@ pub(crate) fn taint_sources(
     }
     out.sort_by(|a, b| (a.line, a.kind, &a.what).cmp(&(b.line, b.kind, &b.what)));
     out
-}
-
-// ------------------------------------------------------- hot-loop-alloc
-
-/// Per-line mask of loop bodies (`for` / `while` / `loop` brace
-/// regions), tracked by brace depth like the test-region mask. Lines
-/// mentioning `impl` are never treated as loop headers (`impl Trait for
-/// Type`), and the header line itself counts as inside — `for x in
-/// v.clone()` allocates per iteration of the *enclosing* loop only, but
-/// flagging the header is the cheap over-approximation.
-pub(crate) fn loop_region_mask(lines: &[SourceLine]) -> Vec<bool> {
-    let mut mask = Vec::with_capacity(lines.len());
-    let mut depth: i64 = 0;
-    let mut pending = false;
-    let mut stack: Vec<i64> = Vec::new();
-    for line in lines {
-        let header = !has_token(&line.code, "impl")
-            && (has_token(&line.code, "for")
-                || has_token(&line.code, "while")
-                || has_token(&line.code, "loop"));
-        if header {
-            pending = true;
-        }
-        let mut inside = !stack.is_empty() || pending;
-        for c in line.code.chars() {
-            match c {
-                '{' => {
-                    if pending {
-                        stack.push(depth);
-                        pending = false;
-                        inside = true;
-                    }
-                    depth += 1;
-                }
-                '}' => {
-                    depth -= 1;
-                    if stack.last() == Some(&depth) {
-                        stack.pop();
-                    }
-                }
-                // A braceless `for`-ish line (e.g. a `for` inside a
-                // string-adjacent macro) is spent at the semicolon.
-                ';' if pending && stack.is_empty() => pending = false,
-                _ => {}
-            }
-        }
-        mask.push(inside || !stack.is_empty());
-    }
-    mask
-}
-
-/// Non-blocking scan: allocation-shaped calls inside detector/repair
-/// kernel loops. Emitted as ranked advisories — the machine-checked
-/// worklist for the columnar rewrite, not a gate (a correct-but-slow
-/// kernel is shippable; a nondeterministic one is not).
-pub(crate) fn hot_loop_alloc(model: &WorkspaceModel, sink: &mut Sink) {
-    for f in &model.files {
-        let kernel = (f.path.starts_with("crates/detect/src/")
-            || f.path.starts_with("crates/repair/src/"))
-            && !f.path.ends_with("/lib.rs")
-            && !f.class.is_test_support;
-        if !kernel {
-            continue;
-        }
-        let lines = lex(&f.source);
-        let tests = crate::rules::test_region_mask(&lines);
-        let loops = loop_region_mask(&lines);
-        for (i, line) in lines.iter().enumerate() {
-            if tests[i] || !loops[i] {
-                continue;
-            }
-            for token in ALLOC_TOKENS {
-                if has_token(&line.code, token) {
-                    sink.emit_advisory(
-                        &f.path,
-                        i + 1,
-                        "hot-loop-alloc",
-                        format!(
-                            "`{token}` inside a kernel loop allocates per \
-                             row/cell — hoist the buffer out of the loop or \
-                             switch this kernel to the columnar path"
-                        ),
-                    );
-                    break; // one advisory per line
-                }
-            }
-        }
-    }
 }
 
 // --------------------------------------------------- float-reduce-order
@@ -511,23 +400,5 @@ mod tests {
              #[cfg(test)]\nmod tests {\n    static ONLY_IN_TESTS: u64 = 0;\n}\n",
         )]);
         assert!(workspace_statics(&m).is_empty());
-    }
-
-    #[test]
-    fn loop_mask_covers_bodies_not_impl_headers() {
-        let lines = lex("impl Detector for Katara {\n\
-             fn detect(&self) {\n\
-             let x = 1;\n\
-             for row in rows {\n\
-             let c = row.clone();\n\
-             }\n\
-             let y = 2;\n\
-             }\n\
-             }\n");
-        let mask = loop_region_mask(&lines);
-        assert!(!mask[0], "impl … for … is not a loop header");
-        assert!(!mask[2]);
-        assert!(mask[3] && mask[4]);
-        assert!(!mask[6]);
     }
 }

@@ -1,8 +1,8 @@
 //! A comment- and string-aware lexer for Rust sources.
 //!
-//! The audit rules are token searches, and a naive `contains` would fire
-//! on occurrences inside string literals (`"HashMap"`), doc comments and
-//! `//` prose. This lexer splits every source line into its *code* part
+//! Several audit rules match tokens (`RefCell`, `Relaxed`, `static
+//! mut`), and a naive `contains` would fire on occurrences inside string
+//! literals (`"RefCell"`), doc comments and `//` prose. This lexer splits every source line into its *code* part
 //! (string/char literal contents blanked, comments removed) and its
 //! *comment* part (where `audit:allow` annotations live). It understands
 //! line comments, nested block comments, string/byte-string literals with
@@ -230,26 +230,6 @@ pub fn has_token(code: &str, token: &str) -> bool {
     false
 }
 
-/// Counts boundary-respecting occurrences of `token` in `code`.
-pub fn count_token(code: &str, token: &str) -> usize {
-    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
-    let head_ident = token.chars().next().is_some_and(is_ident);
-    let tail_ident = token.chars().next_back().is_some_and(is_ident);
-    let mut from = 0;
-    let mut count = 0;
-    while let Some(pos) = code[from..].find(token) {
-        let at = from + pos;
-        let ok_before = !head_ident || !code[..at].chars().next_back().is_some_and(is_ident);
-        let ok_after =
-            !tail_ident || !code[at + token.len()..].chars().next().is_some_and(is_ident);
-        if ok_before && ok_after {
-            count += 1;
-        }
-        from = at + token.len();
-    }
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,7 +304,7 @@ mod tests {
         assert!(!has_token("let my_phase = 1;", "phase"));
         assert!(has_token("x.unwrap();", ".unwrap()"));
         assert!(has_token("Instant::now()", "Instant::now"));
-        assert_eq!(count_token("phase(a); phase(b); rephase(c)", "phase"), 2);
+        assert!(!has_token("rephase(c)", "phase"));
     }
 
     #[test]
@@ -341,7 +321,8 @@ mod tests {
     /// annotation and finding after the string reports a shifted line.
     #[test]
     fn string_continuation_preserves_line_count() {
-        let ls = lex("let s = \"one \\\n    two\";\nlet x = 1; // audit:allow(panic, why)\n");
+        let ls =
+            lex("let s = \"one \\\n    two\";\nlet x = 1; // audit:allow(split-leakage, why)\n");
         assert_eq!(ls.len(), 3);
         assert!(ls[2].comment.contains("audit:allow"), "comment stays on physical line 3");
     }

@@ -5,19 +5,27 @@
 //! REIN's results are only meaningful when two runs with the same seed
 //! are byte-identical: the paper's Wilcoxon A/B comparisons and the
 //! detector/repair rankings all assume exact reproducibility. This crate
-//! machine-checks the invariants that guarantee it, instead of trusting
-//! conventions:
+//! machine-checks the invariants behind that promise that need the whole
+//! workspace's call graph, which no per-site lint can see:
 //!
-//! * **determinism** — no wall-clock reads outside the telemetry layer,
-//!   no `HashMap`/`HashSet` (iteration order varies across processes) in
-//!   result-producing code, no unseeded RNG;
-//! * **panic-hygiene** — every `unwrap()`/`expect()`/`panic!` in library
-//!   code either becomes `Result` propagation or carries a justified
-//!   `audit:allow(panic, reason)` annotation;
-//! * **telemetry coverage** — benchmark binaries mark their phases and
-//!   write run manifests; detector/repair modules open spans;
-//! * **output discipline** — reports and logs flow through the dedicated
-//!   emitters, never bare `println!` in library code.
+//! * **seeds and splits** — every library RNG traces its seed to a
+//!   parameter (`seed-provenance`), and no held-out partition reaches a
+//!   fit-like callee (`split-leakage`);
+//! * **parallel determinism** — everything reachable from a rayon region
+//!   is safe to shard (the five `par-*` rules), spans on worker threads
+//!   carry a cell trace (`trace-context`), and parallel float
+//!   reductions run in a fixed order (`float-reduce-order`);
+//! * **key purity** — no ambient read reaches a cell computation outside
+//!   the declared cache key (`cache-key-completeness`);
+//! * **live suppressions** — every `audit:allow(rule, reason)` still
+//!   silences a finding (`stale-allow`).
+//!
+//! The per-site rules live in the toolchain: clippy's
+//! `[workspace.lints.clippy]` and `crates/clippy.toml` (wall clock,
+//! environment reads, raw file writes, hash containers, prints, panics,
+//! discarded `#[must_use]` values), rustc's `#[expect]` for stale
+//! suppressions, and runtime tests for guard, span and manifest
+//! coverage — DESIGN.md §6b maps each one.
 //!
 //! Run it with `cargo run -p rein-audit`; it prints a human report,
 //! writes machine-readable JSON to `artifacts/audit/report.json` and
@@ -34,11 +42,8 @@ pub mod rules;
 pub mod sarif;
 pub mod semantic;
 
-pub use purity::{cache_key_fields, certify, env_read_allowlist, EntryCertificate};
+pub use purity::{cache_key_fields, certify, EntryCertificate};
 pub use report::{audit_workspace, collect_sources, Report, RuleSummary};
-pub use rules::{
-    audit_source, classify, wallclock_allowlist, AllowEntry, AllowTable, FileAudit, FileClass,
-    Violation, RULES,
-};
+pub use rules::{audit_source, classify, AllowEntry, AllowTable, FileClass, Violation, RULES};
 pub use sarif::to_sarif;
 pub use semantic::{analyze, SemanticOutcome, WorkspaceModel};

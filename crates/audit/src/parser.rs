@@ -1,7 +1,7 @@
 //! A recursive-descent parser for the Rust subset the semantic rules
 //! need: items (fns, mods, impls, traits, uses), function signatures,
 //! and a linear body scan that records calls (with per-argument ident
-//! flow), `let` bindings and panic sites.
+//! flow), `let` bindings, closures and struct literals.
 //!
 //! It runs over the comment/string-blanked output of [`crate::lexer`],
 //! so literals and prose can never produce spurious tokens. It is not a
@@ -185,8 +185,6 @@ pub struct LetBinding {
     /// Idents bound by the pattern (lowercase-initial only — variant and
     /// type names are skipped).
     pub names: Vec<String>,
-    /// The pattern is exactly `_`.
-    pub underscore: bool,
     /// Idents appearing anywhere in the initializer.
     pub init_idents: Vec<String>,
     /// Indices into the function's `calls` of initializer calls at the
@@ -194,13 +192,6 @@ pub struct LetBinding {
     /// value (`a.b().c()` → `c`).
     pub init_top_calls: Vec<usize>,
     pub line: usize,
-}
-
-/// One potential panic site.
-#[derive(Debug, Clone)]
-pub struct PanicSite {
-    pub line: usize,
-    pub what: &'static str,
 }
 
 /// One closure expression inside a function body. Closures are how code
@@ -244,11 +235,9 @@ pub struct Function {
     pub name: String,
     /// The surrounding `impl`/`trait` type name, if any.
     pub impl_type: Option<String>,
-    pub is_pub: bool,
     pub has_self: bool,
     /// Non-`self` parameters in declaration order.
     pub params: Vec<Param>,
-    pub returns_result: bool,
     pub line: usize,
     /// Declared under `#[cfg(test)]` / `#[test]` (directly or via an
     /// enclosing module).
@@ -257,11 +246,6 @@ pub struct Function {
     pub calls: Vec<Call>,
     pub lets: Vec<LetBinding>,
     pub closures: Vec<Closure>,
-    pub panics: Vec<PanicSite>,
-    /// First segments (after `crate`/`self`/`super`) of every
-    /// multi-segment path in the body — calls *and* plain paths like
-    /// unit-struct or enum-variant constructions.
-    pub path_refs: BTreeSet<String>,
     /// Every ident occurrence in the body, call-path segments and plain
     /// idents alike. The static-read taint detector intersects this
     /// with the workspace's declared `static` names.
@@ -277,20 +261,10 @@ pub struct Param {
     pub ty: String,
 }
 
-/// A `mod name;` declaration.
-#[derive(Debug, Clone)]
-pub struct ModDecl {
-    pub name: String,
-    pub line: usize,
-}
-
 /// Parse result for one file.
 #[derive(Debug, Default)]
 pub struct ParsedFile {
     pub functions: Vec<Function>,
-    pub mod_decls: Vec<ModDecl>,
-    /// Every ident appearing in `use` items (path segments and renames).
-    pub use_idents: BTreeSet<String>,
     /// Structural errors (unbalanced delimiters at EOF). Empty for every
     /// first-party file — the parser smoke test asserts this.
     pub errors: Vec<String>,
@@ -679,7 +653,6 @@ impl Parser {
     /// closing `}` of the enclosing block.
     fn items(&mut self, ctx: &Ctx, brace_terminated: bool) {
         let mut pending_test = false;
-        let mut pending_pub = false;
         loop {
             let Some(tok) = self.peek() else {
                 if brace_terminated {
@@ -700,10 +673,8 @@ impl Parser {
                     }
                     self.out.errors.push("unbalanced `}` at top level".into());
                     pending_test = false;
-                    pending_pub = false;
                 }
                 (TokKind::Ident, "pub") => {
-                    pending_pub = true;
                     self.bump();
                     if self.at_punct("(") {
                         self.skip_balanced();
@@ -719,7 +690,6 @@ impl Parser {
                         self.bump();
                         self.items(ctx, true);
                         pending_test = false;
-                        pending_pub = false;
                     }
                     // `extern fn` / `extern crate` fall through to the
                     // next iteration.
@@ -730,37 +700,27 @@ impl Parser {
                     } else {
                         self.skip_to_semicolon();
                         pending_test = false;
-                        pending_pub = false;
                     }
                 }
                 (TokKind::Ident, "fn") => {
                     let in_test = ctx.in_test || pending_test;
-                    let f = self.fn_item(pending_pub, ctx, in_test);
+                    let f = self.fn_item(ctx, in_test);
                     self.out.functions.push(f);
                     pending_test = false;
-                    pending_pub = false;
                 }
                 (TokKind::Ident, "mod") => {
                     self.bump();
-                    let (name, line) = match self.peek() {
-                        Some(t) if t.kind == TokKind::Ident => (t.text.clone(), t.line),
-                        _ => (String::new(), 0),
-                    };
-                    if !name.is_empty() {
+                    if self.peek().is_some_and(|t| t.kind == TokKind::Ident) {
                         self.bump();
                     }
                     if self.at_punct(";") {
                         self.bump();
-                        if !name.is_empty() {
-                            self.out.mod_decls.push(ModDecl { name, line });
-                        }
                     } else if self.at_punct("{") {
                         self.bump();
                         let inner = Ctx { impl_type: None, in_test: ctx.in_test || pending_test };
                         self.items(&inner, true);
                     }
                     pending_test = false;
-                    pending_pub = false;
                 }
                 (TokKind::Ident, "impl" | "trait") => {
                     let is_trait = text == "trait";
@@ -774,22 +734,10 @@ impl Parser {
                         self.bump();
                     }
                     pending_test = false;
-                    pending_pub = false;
                 }
                 (TokKind::Ident, "use") => {
-                    self.bump();
-                    while let Some(t) = self.peek() {
-                        if t.kind == TokKind::Punct && t.text == ";" {
-                            self.bump();
-                            break;
-                        }
-                        if t.kind == TokKind::Ident && !is_keyword(&t.text) {
-                            self.out.use_idents.insert(t.text.clone());
-                        }
-                        self.bump();
-                    }
+                    self.skip_to_semicolon();
                     pending_test = false;
-                    pending_pub = false;
                 }
                 (TokKind::Ident, "struct" | "enum" | "union") => {
                     self.bump();
@@ -812,12 +760,10 @@ impl Parser {
                         }
                     }
                     pending_test = false;
-                    pending_pub = false;
                 }
                 (TokKind::Ident, "type") => {
                     self.skip_to_semicolon();
                     pending_test = false;
-                    pending_pub = false;
                 }
                 (TokKind::Ident, "macro_rules") => {
                     self.bump();
@@ -831,7 +777,6 @@ impl Parser {
                         self.skip_balanced();
                     }
                     pending_test = false;
-                    pending_pub = false;
                 }
                 _ => {
                     // Unknown item syntax: skip one token (tolerant
@@ -842,7 +787,6 @@ impl Parser {
                         self.bump();
                     }
                     pending_test = false;
-                    pending_pub = false;
                 }
             }
         }
@@ -903,10 +847,9 @@ impl Parser {
     }
 
     /// Parses a function starting at the `fn` keyword.
-    fn fn_item(&mut self, is_pub: bool, ctx: &Ctx, in_test: bool) -> Function {
+    fn fn_item(&mut self, ctx: &Ctx, in_test: bool) -> Function {
         self.bump(); // `fn`
-        let mut f =
-            Function { impl_type: ctx.impl_type.clone(), is_pub, in_test, ..Function::default() };
+        let mut f = Function { impl_type: ctx.impl_type.clone(), in_test, ..Function::default() };
         if let Some(t) = self.peek() {
             if t.kind == TokKind::Ident {
                 f.name = t.text.clone();
@@ -930,7 +873,6 @@ impl Parser {
                     (TokKind::Ident, "where") if angle == 0 => break,
                     (TokKind::Punct, "<") => angle += 1,
                     (TokKind::Punct, ">") => angle -= 1,
-                    (TokKind::Ident, "Result") => f.returns_result = true,
                     _ => {}
                 }
                 self.bump();
@@ -1174,12 +1116,6 @@ impl Parser {
                             after = k;
                         }
                         if self.peek_at(after).is_some_and(|t| t.text == "(") {
-                            if name == "unwrap" || name == "expect" {
-                                f.panics.push(PanicSite {
-                                    line: mline,
-                                    what: if name == "unwrap" { ".unwrap()" } else { ".expect(" },
-                                });
-                            }
                             let ix = f.calls.len();
                             f.calls.push(Call {
                                 callee: Callee::Method(name),
@@ -1213,20 +1149,13 @@ impl Parser {
                 }
                 (TokKind::Ident, "fn") => {
                     if self.peek_at(1).is_some_and(|t| t.kind == TokKind::Ident) {
-                        let nested = self.fn_item(false, ctx, ctx.in_test);
+                        let nested = self.fn_item(ctx, ctx.in_test);
                         self.out.functions.push(nested);
                     } else {
                         self.bump(); // `fn(...)` pointer type
                     }
                 }
-                (TokKind::Ident, "_") => {
-                    if let Some(top) = lets.last_mut() {
-                        if !top.init_active && !top.in_type && top.let_depth == depth {
-                            top.binding.underscore = true;
-                        }
-                    }
-                    self.bump();
-                }
+                (TokKind::Ident, "_") => self.bump(),
                 (TokKind::Ident, s) if is_keyword(s) => self.bump(),
                 (TokKind::Ident, _) => {
                     self.scan_ident(
@@ -1265,19 +1194,8 @@ impl Parser {
             Some(t) => t.clone(),
             None => return,
         };
-        // Macro invocation: `name!` — the name is not a call; panic
-        // macros are recorded as panic sites.
+        // Macro invocation: `name!` — the name is not a call.
         if self.peek_at(1).is_some_and(|t| t.kind == TokKind::Punct && t.text == "!") {
-            let what = match first.text.as_str() {
-                "panic" => Some("panic!"),
-                "unreachable" => Some("unreachable!"),
-                "todo" => Some("todo!"),
-                "unimplemented" => Some("unimplemented!"),
-                _ => None,
-            };
-            if let Some(what) = what {
-                f.panics.push(PanicSite { line: first.line, what });
-            }
             self.bump();
             self.bump();
             return;
@@ -1319,13 +1237,6 @@ impl Parser {
                 j += 1;
             }
             after = j;
-        }
-        if segs.len() >= 2 {
-            if let Some(seg) =
-                segs.iter().find(|s| !matches!(s.as_str(), "crate" | "self" | "super"))
-            {
-                f.path_refs.insert(seg.clone());
-            }
         }
         for seg in &segs {
             f.body_idents.insert(seg.clone());
@@ -1454,8 +1365,6 @@ mod tests {
         assert_eq!(p.functions.len(), 1);
         let f = &p.functions[0];
         assert_eq!(f.name, "train");
-        assert!(f.is_pub);
-        assert!(f.returns_result);
         assert!(!f.has_self);
         let names: Vec<_> = f.params.iter().flat_map(|p| p.names.clone()).collect();
         assert_eq!(names, ["xs", "ys", "seed"]);
@@ -1504,7 +1413,7 @@ mod tests {
         );
         let f = &p.functions[0];
         assert_eq!(f.lets.len(), 3);
-        assert!(f.lets[0].underscore);
+        assert!(f.lets[0].names.is_empty());
         assert_eq!(f.lets[0].init_top_calls.len(), 1);
         assert_eq!(f.calls[f.lets[0].init_top_calls[0]].callee.name(), "load");
         assert_eq!(f.lets[1].names, ["a", "b"]);
@@ -1525,16 +1434,15 @@ mod tests {
         let p = parse(
             "fn go(o: Option<u8>) {\n\
                  o.unwrap();\n\
-                 o.expect(\"msg\");\n\
                  panic!(\"boom\");\n\
                  writeln!(f, \"x\").ok();\n\
              }\n",
         );
         let f = &p.functions[0];
-        let whats: Vec<_> = f.panics.iter().map(|s| s.what).collect();
-        assert_eq!(whats, [".unwrap()", ".expect(", "panic!"]);
-        // `writeln!` is a macro, not a call.
-        assert!(!f.calls.iter().any(|c| c.callee.name() == "writeln"));
+        let callees: Vec<_> = f.calls.iter().map(|c| c.callee.name().to_string()).collect();
+        // `.unwrap()` is an ordinary method call; `panic!` and `writeln!`
+        // are macros, not calls — only the chained `.ok()` is.
+        assert_eq!(callees, ["unwrap", "ok"]);
     }
 
     #[test]
@@ -1548,19 +1456,6 @@ mod tests {
         assert!(!by_name("lib_fn").in_test);
         assert!(by_name("t").in_test);
         assert!(!by_name("shipped").in_test);
-    }
-
-    #[test]
-    fn mod_decls_and_uses() {
-        let p = parse(
-            "mod katara;\npub mod raha;\nuse crate::features::FeatureSet;\n\
-             pub use context::DetectorContext;\n",
-        );
-        let mods: Vec<_> = p.mod_decls.iter().map(|m| m.name.clone()).collect();
-        assert_eq!(mods, ["katara", "raha"]);
-        assert!(p.use_idents.contains("features"));
-        assert!(p.use_idents.contains("context"));
-        assert!(p.use_idents.contains("DetectorContext"));
     }
 
     #[test]

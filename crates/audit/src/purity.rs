@@ -14,17 +14,16 @@
 //! does not influence the cell's value (e.g. a telemetry toggle), and
 //! the certificate is computed over unsuppressed taints only.
 //!
-//! Four rules live here (catalog in DESIGN.md §6h):
-//! `cache-key-completeness` and `env-read-confinement` (blocking),
-//! plus the dataflow module's `hot-loop-alloc` (advisory) and
-//! `float-reduce-order` (blocking), orchestrated from one pass.
+//! Two rules run from here (catalog in DESIGN.md §6h):
+//! `cache-key-completeness` and the dataflow module's
+//! `float-reduce-order`, orchestrated from one pass.
 
 use std::collections::BTreeMap;
 
 use crate::callgraph::CallGraph;
 use crate::dataflow::{
-    call_path, compute_region, compute_region_from, display_name, entry_nodes, env_read,
-    float_reduce_order, hot_loop_alloc, taint_sources, workspace_statics,
+    call_path, compute_region, compute_region_from, display_name, entry_nodes, float_reduce_order,
+    taint_sources, workspace_statics,
 };
 use crate::lexer::{lex, SourceLine};
 use crate::parser::ParsedFile;
@@ -44,18 +43,6 @@ pub const CACHE_KEY_FIELDS: [&str; 7] =
 /// The declared key tuple, exposed for docs and the dogfood tests.
 pub fn cache_key_fields() -> &'static [&'static str] {
     &CACHE_KEY_FIELDS
-}
-
-/// The one module allowed to read environment variables in library
-/// code: rein-bench's config layer, which snapshots `REIN_SCALE` &co.
-/// once into `OnceLock` statics. Everywhere else a `std::env::var`
-/// couples behavior to ambient process state the cache key cannot see.
-/// Binaries stay exempt (they are the CLI surface).
-pub const ENV_READ_ALLOWED: [&str; 1] = ["crates/bench/src/lib.rs"];
-
-/// The env-read allowlist, exposed so the dogfood test pins its size.
-pub fn env_read_allowlist() -> &'static [&'static str] {
-    &ENV_READ_ALLOWED
 }
 
 /// Purity verdict for one entry point, for the public certificate API.
@@ -186,30 +173,6 @@ pub(crate) fn analyze_purity(model: &WorkspaceModel, g: &CallGraph, sink: &mut S
         }
     }
 
-    // env-read-confinement: every env read in library code outside the
-    // config allowlist module, region or not.
-    for n in &g.nodes {
-        if !n.lib_scope() || ENV_READ_ALLOWED.contains(&n.file.as_str()) {
-            continue;
-        }
-        for call in &n.func.calls {
-            if let Some(what) = env_read(call) {
-                sink.emit(
-                    &n.file,
-                    call.line,
-                    "env-read-confinement",
-                    format!(
-                        "`{what}` outside the config allowlist module \
-                         ({}) — snapshot the value once in rein-bench's \
-                         config layer and pass it down as a parameter",
-                        ENV_READ_ALLOWED.join(", "),
-                    ),
-                );
-            }
-        }
-    }
-
-    hot_loop_alloc(model, sink);
     float_reduce_order(g, sink);
 }
 

@@ -31,8 +31,6 @@ pub struct RuleSummary {
     /// Documentation anchor for the rule (SARIF `helpUri`).
     pub help_uri: &'static str,
     pub violations: usize,
-    /// Non-blocking findings for this rule.
-    pub advisories: usize,
 }
 
 /// The machine-readable audit report written to
@@ -47,57 +45,30 @@ pub struct Report {
     pub rules: Vec<RuleSummary>,
     /// Sorted by (path, line, rule).
     pub violations: Vec<Violation>,
-    /// Non-blocking findings (ranked reports: `hot-loop-alloc`,
-    /// `stale-allow`), sorted like `violations`. Never fail the run
-    /// unless promoted (`--deny-stale`).
-    pub advisories: Vec<Violation>,
 }
 
 impl Report {
-    /// `true` when the workspace passes the audit (advisories do not
-    /// block).
+    /// `true` when the workspace passes the audit.
     pub fn clean(&self) -> bool {
         self.violations.is_empty()
     }
 
-    /// Restricts the report to the given rule ids (`--only`): the rule
-    /// catalog and the finding lists are filtered; file/suppression
-    /// tallies stay untouched.
-    pub fn retain_rules(&mut self, only: &[String]) {
-        if only.is_empty() {
-            return;
-        }
-        self.rules.retain(|r| only.iter().any(|o| o == r.id));
-        self.violations.retain(|v| only.contains(&v.rule));
-        self.advisories.retain(|v| only.contains(&v.rule));
-    }
-
-    /// Promotes `stale-allow` advisories to blocking violations
-    /// (`--deny-stale`): CI runs with this on, so dead suppressions
-    /// cannot accumulate.
-    pub fn deny_stale(&mut self) {
-        let (stale, rest): (Vec<Violation>, Vec<Violation>) =
-            self.advisories.drain(..).partition(|v| v.rule == "stale-allow");
-        self.advisories = rest;
-        self.violations.extend(stale);
-        self.violations.sort();
-    }
-
     /// Serializes to pretty JSON (deterministic field order).
+    #[expect(
+        clippy::panic,
+        reason = "report serialization has no fallible fields; a failure is a bug in the vendored serializer"
+    )]
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).unwrap_or_else(|e|
-            // audit:allow(panic, report serialization has no fallible fields; a failure is a bug in the vendored serializer)
-            panic!("report serializes: {e}"))
+        serde_json::to_string_pretty(self).unwrap_or_else(|e| panic!("report serializes: {e}"))
     }
 
     /// Renders the human-readable report.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "rein-audit: {} file(s) scanned, {} violation(s), {} advisory(ies), {} suppressed\n",
+            "rein-audit: {} file(s) scanned, {} violation(s), {} suppressed\n",
             self.files_scanned,
             self.violations.len(),
-            self.advisories.len(),
             self.suppressed
         ));
         let mut by_rule: BTreeMap<&str, Vec<&Violation>> = BTreeMap::new();
@@ -106,19 +77,6 @@ impl Report {
         }
         for (rule, vs) in &by_rule {
             out.push_str(&format!("\n[{rule}] {} violation(s)\n", vs.len()));
-            if let Some(info) = RULES.iter().find(|r| r.id == *rule) {
-                out.push_str(&format!("  {}\n", info.description));
-            }
-            for v in vs {
-                out.push_str(&format!("  {}:{}  {}\n", v.path, v.line, v.message));
-            }
-        }
-        let mut adv_by_rule: BTreeMap<&str, Vec<&Violation>> = BTreeMap::new();
-        for v in &self.advisories {
-            adv_by_rule.entry(v.rule.as_str()).or_default().push(v);
-        }
-        for (rule, vs) in &adv_by_rule {
-            out.push_str(&format!("\n[{rule}] {} advisory finding(s) (non-blocking)\n", vs.len()));
             if let Some(info) = RULES.iter().find(|r| r.id == *rule) {
                 out.push_str(&format!("  {}\n", info.description));
             }
@@ -174,8 +132,8 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Audits the whole workspace rooted at `root`: the per-file token
-/// rules plus the semantic pass over the parsed call graph.
+/// Audits the whole workspace rooted at `root`: the per-file annotation
+/// check plus the semantic pass over the parsed call graph.
 pub fn audit_workspace(root: &Path) -> io::Result<Report> {
     let files = collect_sources(root)?;
     let mut sources: Vec<(String, String)> = Vec::with_capacity(files.len());
@@ -191,29 +149,17 @@ pub fn audit_workspace(root: &Path) -> io::Result<Report> {
 /// pairs. Exposed so the fixture tests can assemble synthetic
 /// multi-file workspaces.
 pub fn audit_sources(sources: Vec<(String, String)>) -> Report {
-    let mut violations = Vec::new();
-    let mut suppressed = 0usize;
-    // Annotation keys that suppressed at least one finding, per file.
-    let mut consumed: BTreeMap<String, BTreeSet<(usize, String, bool)>> = BTreeMap::new();
-    for (rel, source) in &sources {
-        let audit = audit_source(rel, source);
-        violations.extend(audit.violations);
-        suppressed += audit.suppressed;
-        consumed.entry(rel.clone()).or_default().extend(audit.consumed);
-    }
+    let mut violations: Vec<Violation> =
+        sources.iter().flat_map(|(rel, source)| audit_source(rel, source)).collect();
     let model = WorkspaceModel::build(&sources);
     let semantic = analyze(&model);
     violations.extend(semantic.violations);
-    suppressed += semantic.suppressed;
-    let mut advisories = semantic.advisories;
-    for (path, keys) in semantic.consumed {
-        consumed.entry(path).or_default().extend(keys);
-    }
+    let mut suppressed = semantic.suppressed;
+    // Annotation keys that suppressed at least one finding, per file.
+    let mut consumed = semantic.consumed;
     // Stale-allow pass: every well-formed annotation that suppressed
-    // nothing in either pass is dead weight — it documents a finding
-    // that no longer exists and would silently mask a future one.
-    // `panic` annotations double as panic-reachability waivers through
-    // the same per-site consumption, so they are never falsely stale.
+    // nothing is dead weight — it documents a finding that no longer
+    // exists and would silently mask a future one.
     for f in &model.files {
         let is_live = |consumed: &BTreeMap<String, BTreeSet<(usize, String, bool)>>,
                        key: &(usize, String, bool)| {
@@ -237,7 +183,7 @@ pub fn audit_sources(sources: Vec<(String, String)>) -> Report {
                 continue;
             }
             let marker = if e.file_level { "audit:allow-file" } else { "audit:allow" };
-            advisories.push(Violation {
+            violations.push(Violation {
                 path: f.path.clone(),
                 line: e.line,
                 rule: "stale-allow".to_string(),
@@ -252,8 +198,6 @@ pub fn audit_sources(sources: Vec<(String, String)>) -> Report {
     }
     violations.sort();
     violations.dedup();
-    advisories.sort();
-    advisories.dedup();
     let rules = RULES
         .iter()
         .map(|r| RuleSummary {
@@ -261,17 +205,15 @@ pub fn audit_sources(sources: Vec<(String, String)>) -> Report {
             description: r.description,
             help_uri: r.help_uri,
             violations: violations.iter().filter(|v| v.rule == r.id).count(),
-            advisories: advisories.iter().filter(|v| v.rule == r.id).count(),
         })
         .collect();
     Report {
-        schema_version: 3,
+        schema_version: 4,
         tool: "rein-audit",
         files_scanned: sources.len(),
         suppressed,
         rules,
         violations,
-        advisories,
     }
 }
 
@@ -297,7 +239,6 @@ mod tests {
             suppressed: 0,
             rules: Vec::new(),
             violations: Vec::new(),
-            advisories: Vec::new(),
         };
         assert_eq!(r.to_json(), r.to_json());
         assert!(r.clean());

@@ -46,30 +46,26 @@ pub fn to_sarif(report: &Report) -> String {
             ])
         })
         .collect();
-    let result = |v: &crate::rules::Violation, level: &str| {
-        map(vec![
-            ("ruleId", s(&v.rule)),
-            ("level", s(level)),
-            ("message", map(vec![("text", s(&v.message))])),
-            (
-                "locations",
-                Value::Seq(vec![map(vec![(
-                    "physicalLocation",
-                    map(vec![
-                        ("artifactLocation", map(vec![("uri", s(&v.path))])),
-                        ("region", map(vec![("startLine", Value::U64(v.line.max(1) as u64))])),
-                    ]),
-                )])]),
-            ),
-        ])
-    };
-    // Blocking findings surface as errors, advisories as notes — code
-    // scanning shows both without the notes failing the check.
     let results: Vec<Value> = report
         .violations
         .iter()
-        .map(|v| result(v, "error"))
-        .chain(report.advisories.iter().map(|v| result(v, "note")))
+        .map(|v| {
+            map(vec![
+                ("ruleId", s(&v.rule)),
+                ("level", s("error")),
+                ("message", map(vec![("text", s(&v.message))])),
+                (
+                    "locations",
+                    Value::Seq(vec![map(vec![(
+                        "physicalLocation",
+                        map(vec![
+                            ("artifactLocation", map(vec![("uri", s(&v.path))])),
+                            ("region", map(vec![("startLine", Value::U64(v.line.max(1) as u64))])),
+                        ]),
+                    )])]),
+                ),
+            ])
+        })
         .collect();
     let doc = map(vec![
         ("$schema", s(SCHEMA)),
@@ -88,9 +84,12 @@ pub fn to_sarif(report: &Report) -> String {
             ])]),
         ),
     ]);
-    let mut out = serde_json::to_string_pretty(&Doc(doc)).unwrap_or_else(|e|
-        // audit:allow(panic, the SARIF tree contains only strings and integers; serialization cannot fail)
-        panic!("sarif serializes: {e}"));
+    #[expect(
+        clippy::panic,
+        reason = "the SARIF tree contains only strings and integers; serialization cannot fail"
+    )]
+    let mut out =
+        serde_json::to_string_pretty(&Doc(doc)).unwrap_or_else(|e| panic!("sarif serializes: {e}"));
     out.push('\n');
     out
 }
@@ -108,23 +107,16 @@ mod tests {
             files_scanned: 3,
             suppressed: 1,
             rules: vec![RuleSummary {
-                id: "panic",
-                description: "no panics",
-                help_uri: "DESIGN.md#6b",
+                id: "seed-provenance",
+                description: "seeds trace to parameters",
+                help_uri: "DESIGN.md#6c",
                 violations: 1,
-                advisories: 0,
             }],
             violations: vec![Violation {
                 path: "crates/core/src/x.rs".into(),
                 line: 7,
-                rule: "panic".into(),
-                message: "`.unwrap()` in library code".into(),
-            }],
-            advisories: vec![Violation {
-                path: "crates/detect/src/k.rs".into(),
-                line: 3,
-                rule: "hot-loop-alloc".into(),
-                message: "`.clone()` inside a kernel loop".into(),
+                rule: "seed-provenance".into(),
+                message: "RNG construction `seed_from_u64` does not trace its seed".into(),
             }],
         }
     }
@@ -135,14 +127,7 @@ mod tests {
         for key in ["\"$schema\"", "\"2.1.0\"", "\"ruleId\"", "\"startLine\"", "\"rein-audit\""] {
             assert!(doc.contains(key), "missing {key} in:\n{doc}");
         }
-    }
-
-    #[test]
-    fn advisories_export_at_note_level() {
-        let doc = to_sarif(&sample());
         assert_eq!(doc.matches("\"level\": \"error\"").count(), 1);
-        assert_eq!(doc.matches("\"level\": \"note\"").count(), 1);
-        assert!(doc.contains("hot-loop-alloc"));
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Semantic rules over the parsed workspace: seed provenance, split
-//! leakage, toolbox parity, panic reachability and Result discards.
+//! Semantic rules over the parsed workspace: seed provenance and split
+//! leakage, plus [`analyze`], which runs them with the concurrency and
+//! purity rules.
 //!
 //! Each rule works on the [`CallGraph`] built from every first-party
 //! file, and reuses the `audit:allow(rule, reason)` suppression
@@ -63,8 +64,6 @@ impl WorkspaceModel {
 #[derive(Debug, Default)]
 pub struct SemanticOutcome {
     pub violations: Vec<Violation>,
-    /// Non-blocking findings (ranked reports like `hot-loop-alloc`).
-    pub advisories: Vec<Violation>,
     pub suppressed: usize,
     /// Per file: `audit:allow` entries that suppressed at least one
     /// finding, keyed as [`AllowTable::match_keys`] keys. The report
@@ -88,43 +87,18 @@ impl<'a> Sink<'a> {
         }
     }
 
-    /// Suppression check shared by blocking and advisory findings:
-    /// `true` when the finding was silenced (and its annotation marked
-    /// consumed).
-    fn suppress(&mut self, path: &str, line: usize, rule: &str) -> bool {
-        let Some(t) = self.allows.get(path) else { return false };
-        if !t.allows(line, rule) {
-            return false;
-        }
-        self.out.suppressed += 1;
-        self.out.consumed.entry(path.to_string()).or_default().extend(t.match_keys(line, rule));
-        true
-    }
-
+    /// Records a finding unless an `audit:allow` on (or directly above)
+    /// its line silences it; a silencing annotation is marked consumed.
     pub(crate) fn emit(&mut self, path: &str, line: usize, rule: &str, message: String) {
         if !self.seen.insert((path.to_string(), line, rule.to_string(), message.clone())) {
             return;
         }
-        if self.suppress(path, line, rule) {
+        if let Some(t) = self.allows.get(path).filter(|t| t.allows(line, rule)) {
+            self.out.suppressed += 1;
+            self.out.consumed.entry(path.to_string()).or_default().extend(t.match_keys(line, rule));
             return;
         }
         self.out.violations.push(Violation {
-            path: path.to_string(),
-            line,
-            rule: rule.to_string(),
-            message,
-        });
-    }
-
-    /// Like [`Sink::emit`] but lands in the non-blocking advisory list.
-    pub(crate) fn emit_advisory(&mut self, path: &str, line: usize, rule: &str, message: String) {
-        if !self.seen.insert((path.to_string(), line, rule.to_string(), message.clone())) {
-            return;
-        }
-        if self.suppress(path, line, rule) {
-            return;
-        }
-        self.out.advisories.push(Violation {
             path: path.to_string(),
             line,
             rule: rule.to_string(),
@@ -139,16 +113,12 @@ pub fn analyze(model: &WorkspaceModel) -> SemanticOutcome {
         model.files.iter().map(|f| (f.path.clone(), &f.parsed)).collect();
     let graph = CallGraph::build(&parsed);
     let mut sink = Sink::new(model);
-    seed_provenance(model, &graph, &mut sink);
+    seed_provenance(&graph, &mut sink);
     split_leakage(&graph, &mut sink);
-    toolbox_parity(model, &graph, &mut sink);
-    panic_reachability(model, &graph, &mut sink);
-    result_discard(&graph, &mut sink);
     crate::concurrency::analyze_concurrency(model, &graph, &mut sink);
     crate::purity::analyze_purity(model, &graph, &mut sink);
     let mut out = sink.out;
     out.violations.sort();
-    out.advisories.sort();
     out
 }
 
@@ -204,8 +174,7 @@ fn seed_scope(n: &FnNode) -> bool {
     n.lib_scope() && n.crate_name != "bench"
 }
 
-fn seed_provenance(model: &WorkspaceModel, g: &CallGraph, sink: &mut Sink) {
-    let _ = model;
+fn seed_provenance(g: &CallGraph, sink: &mut Sink) {
     // 1. Direct rule: every RNG construction in scope must consume a
     //    param-derived ident, and those params become seed sinks.
     let mut sinks: BTreeSet<(usize, usize)> = BTreeSet::new();
@@ -364,247 +333,6 @@ fn split_leakage(g: &CallGraph, sink: &mut Sink) {
                         "test partition `{ident}` flows into fit-like callee \
                          `{}` — models must never learn from the held-out \
                          split",
-                        call.callee.name()
-                    ),
-                );
-            }
-        }
-    }
-}
-
-// ------------------------------------------------------- toolbox-parity
-
-/// Module names referenced by a file: `use` idents plus first segments
-/// of every path (calls and plain paths) in its functions.
-fn file_refs(f: &FileModel) -> BTreeSet<String> {
-    let mut refs: BTreeSet<String> = f.parsed.use_idents.iter().cloned().collect();
-    for func in &f.parsed.functions {
-        refs.extend(func.path_refs.iter().cloned());
-    }
-    refs
-}
-
-fn toolbox_parity(model: &WorkspaceModel, g: &CallGraph, sink: &mut Sink) {
-    let toolbox = model.files.iter().find(|f| f.path == "crates/core/src/toolbox.rs");
-    let has_grid_crates = model
-        .files
-        .iter()
-        .any(|f| f.path.starts_with("crates/detect/") || f.path.starts_with("crates/repair/"));
-    if has_grid_crates {
-        match toolbox {
-            None => {
-                // Anchor the finding on a grid crate's lib.rs so the
-                // path exists in the workspace being analyzed.
-                if let Some(lib) = model
-                    .files
-                    .iter()
-                    .find(|f| f.path.ends_with("/src/lib.rs") && f.path.starts_with("crates/"))
-                {
-                    sink.emit(
-                        &lib.path,
-                        1,
-                        "toolbox-parity",
-                        "crates/core/src/toolbox.rs is missing — the \
-                         detector/repair registries are not wired into the \
-                         toolbox"
-                            .to_string(),
-                    );
-                }
-            }
-            Some(t) => {
-                for kind in ["DetectorKind", "RepairKind"] {
-                    if !t.parsed.use_idents.contains(kind) {
-                        sink.emit(
-                            &t.path,
-                            1,
-                            "toolbox-parity",
-                            format!(
-                                "rein-core::toolbox does not import `{kind}` — \
-                                 the toolbox cannot enumerate that registry"
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    // Reachability roots.
-    let bench_roots: Vec<usize> = (0..g.nodes.len())
-        .filter(|&i| g.nodes[i].file.starts_with("crates/bench/src/bin/"))
-        .collect();
-    let test_roots: Vec<usize> = (0..g.nodes.len())
-        .filter(|&i| g.nodes[i].func.in_test || g.nodes[i].class.is_test_support)
-        .collect();
-    let from_bench = g.reachable_from(&bench_roots);
-    let from_test = g.reachable_from(&test_roots);
-
-    for krate in ["detect", "repair"] {
-        let lib_path = format!("crates/{krate}/src/lib.rs");
-        let Some(lib) = model.files.iter().find(|f| f.path == lib_path) else {
-            continue;
-        };
-        let declared: BTreeMap<String, usize> =
-            lib.parsed.mod_decls.iter().map(|m| (m.name.clone(), m.line)).collect();
-        if declared.is_empty() {
-            continue;
-        }
-        // Registration closure: referenced from lib.rs, or from the
-        // file of an already-registered module.
-        let module_file = |m: &str| {
-            model.files.iter().find(|f| {
-                f.path == format!("crates/{krate}/src/{m}.rs")
-                    || f.path.starts_with(&format!("crates/{krate}/src/{m}/"))
-            })
-        };
-        let mut registered: BTreeSet<String> = BTreeSet::new();
-        let mut frontier: Vec<BTreeSet<String>> = vec![file_refs(lib)];
-        while let Some(refs) = frontier.pop() {
-            for m in declared.keys() {
-                if refs.contains(m) && registered.insert(m.clone()) {
-                    if let Some(f) = module_file(m) {
-                        frontier.push(file_refs(f));
-                    }
-                }
-            }
-        }
-        // Module reachability: a module counts as exercised when a
-        // reachable node lives in it, or a reachable node references it
-        // by path (covers `katara::Katara::default()`, which resolves
-        // to no parsed fn because the impl is derived).
-        let reached = |reach: &[bool]| -> BTreeSet<String> {
-            let mut out = BTreeSet::new();
-            for (i, n) in g.nodes.iter().enumerate() {
-                if !reach[i] {
-                    continue;
-                }
-                if n.crate_name == krate && declared.contains_key(&n.module) {
-                    out.insert(n.module.clone());
-                }
-                // Attribute path references to this crate only when the
-                // caller is in it, or outside both grid crates (the
-                // same module name can exist in detect *and* repair).
-                let attributable =
-                    n.crate_name == krate || !matches!(n.crate_name.as_str(), "detect" | "repair");
-                if attributable {
-                    for seg in &n.func.path_refs {
-                        if declared.contains_key(seg) {
-                            out.insert(seg.clone());
-                        }
-                    }
-                }
-            }
-            out
-        };
-        let bench_reached = reached(&from_bench);
-        let test_reached = reached(&from_test);
-        for (m, line) in &declared {
-            if !registered.contains(m) {
-                sink.emit(
-                    &lib.path,
-                    *line,
-                    "toolbox-parity",
-                    format!(
-                        "module `{m}` is declared but never referenced from \
-                         {krate}'s registry (lib.rs) or another registered \
-                         module"
-                    ),
-                );
-            }
-            if !bench_reached.contains(m) {
-                sink.emit(
-                    &lib.path,
-                    *line,
-                    "toolbox-parity",
-                    format!("module `{m}` is not reachable from any bench binary"),
-                );
-            }
-            if !test_reached.contains(m) {
-                sink.emit(
-                    &lib.path,
-                    *line,
-                    "toolbox-parity",
-                    format!("module `{m}` is not reachable from any test"),
-                );
-            }
-        }
-    }
-}
-
-// --------------------------------------------------- panic-reachability
-
-fn panic_reachability(model: &WorkspaceModel, g: &CallGraph, sink: &mut Sink) {
-    let allows: BTreeMap<&str, &AllowTable> =
-        model.files.iter().map(|f| (f.path.as_str(), &f.allows)).collect();
-    // Sources: unannotated panic sites in library code.
-    let sources: Vec<usize> = (0..g.nodes.len())
-        .filter(|&i| {
-            let n = &g.nodes[i];
-            n.lib_scope()
-                && n.func.panics.iter().any(|p| {
-                    !allows.get(n.file.as_str()).is_some_and(|t| t.allows(p.line, "panic"))
-                })
-        })
-        .collect();
-    if sources.is_empty() {
-        return;
-    }
-    let source_set: BTreeSet<usize> = sources.iter().copied().collect();
-    let reaching = g.reaching(&sources);
-    for (i, n) in g.nodes.iter().enumerate() {
-        if !reaching[i] || !n.lib_scope() || !n.func.is_pub {
-            continue;
-        }
-        // Deterministic representative: the least (file, line) panic
-        // source this API can reach.
-        let fwd = g.reachable_from(&[i]);
-        let rep = source_set
-            .iter()
-            .filter(|&&s| fwd[s])
-            .map(|&s| {
-                let sn = &g.nodes[s];
-                let line = sn.func.panics.iter().map(|p| p.line).min().unwrap_or(sn.func.line);
-                (sn.file.clone(), line)
-            })
-            .min();
-        let Some((sfile, sline)) = rep else { continue };
-        sink.emit(
-            &n.file,
-            n.func.line,
-            "panic-reachability",
-            format!(
-                "public API `{}` can reach an unannotated panic \
-                 ({sfile}:{sline}) through the call graph",
-                n.func.name
-            ),
-        );
-    }
-}
-
-// ------------------------------------------------------- result-discard
-
-fn result_discard(g: &CallGraph, sink: &mut Sink) {
-    for (i, n) in g.nodes.iter().enumerate() {
-        if n.class.is_test_support || n.func.in_test {
-            continue;
-        }
-        for l in &n.func.lets {
-            if !l.underscore {
-                continue;
-            }
-            let Some(&last) = l.init_top_calls.last() else { continue };
-            let Some(call) = n.func.calls.get(last) else { continue };
-            let discards_result =
-                g.resolve(i, call).into_iter().any(|t| g.nodes[t].func.returns_result);
-            if discards_result {
-                sink.emit(
-                    &n.file,
-                    l.line,
-                    "result-discard",
-                    format!(
-                        "`let _ =` discards the Result returned by \
-                         first-party `{}` — handle the error or match \
-                         explicitly",
                         call.callee.name()
                     ),
                 );

@@ -5,13 +5,15 @@
 //! traversable call edges (same-file, cross-file, and parallel-entry
 //! variants).
 
+#![allow(clippy::panic, reason = "test support: a broken expectation fails the test")]
+
 use std::path::Path;
 
+use rein_audit::callgraph::CallGraph;
 use rein_audit::{analyze, Violation, WorkspaceModel};
 
-/// Parses the named fixtures under their virtual workspace paths and
-/// runs the semantic pass (which includes the concurrency rules).
-fn analyze_assembly(files: &[(&str, &str)]) -> Vec<Violation> {
+/// Parses the named fixtures under their virtual workspace paths.
+fn model_of(files: &[(&str, &str)]) -> WorkspaceModel {
     let sources: Vec<(String, String)> = files
         .iter()
         .map(|(fixture, vpath)| {
@@ -24,7 +26,27 @@ fn analyze_assembly(files: &[(&str, &str)]) -> Vec<Violation> {
     let model = WorkspaceModel::build(&sources);
     let errors = model.parse_errors();
     assert!(errors.is_empty(), "fixtures must parse cleanly: {errors:?}");
-    analyze(&model).violations
+    model
+}
+
+/// Runs the semantic pass (which includes the concurrency rules) over
+/// the named fixtures.
+fn analyze_assembly(files: &[(&str, &str)]) -> Vec<Violation> {
+    analyze(&model_of(files)).violations
+}
+
+/// Whether the function `to` is reachable from the function `from` in
+/// the call graph of the named fixtures.
+fn reaches(files: &[(&str, &str)], from: &str, to: &str) -> bool {
+    let model = model_of(files);
+    let parsed: Vec<(String, &rein_audit::parser::ParsedFile)> =
+        model.files.iter().map(|f| (f.path.clone(), &f.parsed)).collect();
+    let g = CallGraph::build(&parsed);
+    let node = |name: &str| g.by_name.get(name).and_then(|v| v.first().copied());
+    let (Some(from), Some(to)) = (node(from), node(to)) else {
+        panic!("fixtures define no `{from}` or no `{to}`")
+    };
+    g.reachable_from(&[from])[to]
 }
 
 fn of_rule<'a>(violations: &'a [Violation], rule: &str) -> Vec<&'a Violation> {
@@ -171,37 +193,20 @@ fn trace_context_accepts_span_traced_cell_roots() {
 
 #[test]
 fn closure_passed_to_adapter_is_a_call_edge() {
-    let violations =
-        analyze_assembly(&[("closure_edge_adapter_bad.rs", "crates/data/src/fixture.rs")]);
-    let hits = of_rule(&violations, "panic-reachability");
-    // `grid` only reaches the panic through the `.map(|x| risky(*x))`
-    // closure — the finding proves the closure body is a call edge.
-    assert_eq!(hits.len(), 1, "got {violations:?}");
-    assert!(hits[0].message.contains("`grid`"), "got {hits:?}");
-}
-
-#[test]
-fn annotated_panic_behind_closure_edge_is_quiet() {
-    let violations =
-        analyze_assembly(&[("closure_edge_adapter_ok.rs", "crates/data/src/fixture.rs")]);
-    assert!(of_rule(&violations, "panic-reachability").is_empty(), "got {violations:?}");
+    // `grid` only calls `risky` inside the `.map(|x| risky(*x))` closure.
+    let files = [("closure_edge_adapter_bad.rs", "crates/data/src/fixture.rs")];
+    assert!(reaches(&files, "grid", "risky"));
 }
 
 #[test]
 fn spawn_closure_resolves_across_files() {
-    let violations = analyze_assembly(&[
+    // `launch` reaches `remote_step` (in the other file) only through the
+    // spawn closure.
+    let files = [
         ("closure_edge_spawn_bad.rs", "crates/core/src/fixture.rs"),
         ("closure_edge_remote.rs", "crates/core/src/remote.rs"),
-    ]);
-    let hits = of_rule(&violations, "panic-reachability");
-    // `launch` reaches `remote_step`'s panic (in the other file) only
-    // through the spawn closure.
-    assert!(
-        hits.iter()
-            .any(|v| v.message.contains("`launch`")
-                && v.message.contains("crates/core/src/remote.rs:")),
-        "got {violations:?}"
-    );
+    ];
+    assert!(reaches(&files, "launch", "remote_step"));
 }
 
 #[test]

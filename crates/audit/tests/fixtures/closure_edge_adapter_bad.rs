@@ -1,7 +1,6 @@
-//! Call-graph closure fixture (negative): the only path from the
-//! public API to the panic site runs through a closure passed to an
-//! iterator adapter. `panic-reachability` firing on `grid` proves the
-//! closure's member calls are traversable call edges.
+//! Call-graph closure fixture: the only path from `grid` to `risky`
+//! runs through a closure passed to an iterator adapter, so reaching
+//! `risky` proves the closure's member calls are traversable call edges.
 
 pub fn grid(xs: &[u64]) -> Vec<u64> {
     xs.iter().map(|x| risky(*x)).collect()

@@ -1,4 +1,4 @@
-//! Companion file for `closure_edge_spawn_bad.rs`: the panic site the
+//! Companion file for `closure_edge_spawn_bad.rs`: the function the
 //! spawn closure reaches across files.
 
 pub fn remote_step(xs: &[u64]) -> u64 {

@@ -2,10 +2,10 @@
 //! has a negative fixture it must flag and a positive fixture it must
 //! pass.
 //!
-//! Unlike the token rules, semantic rules see the *whole workspace* at
-//! once, so a fixture here is an assembly of `(virtual path, file)`
-//! pairs — e.g. toolbox parity needs a registry lib.rs, modules, a
-//! bench binary and a test in one model.
+//! Semantic rules see the *whole workspace* at once, so a fixture here
+//! is an assembly of `(virtual path, file)` pairs.
+
+#![allow(clippy::panic, reason = "test support: a broken expectation fails the test")]
 
 use std::path::Path;
 
@@ -70,86 +70,4 @@ fn split_leakage_flags_test_partition_into_fit() {
 fn split_leakage_accepts_train_fit_test_predict() {
     let violations = analyze_assembly(&[("split_leakage_ok.rs", "crates/ml/src/fixture.rs")]);
     assert!(of_rule(&violations, "split-leakage").is_empty(), "got {violations:?}");
-}
-
-/// The shared part of the toolbox assemblies: a registered module, the
-/// core toolbox, a bench binary and a test that exercise it.
-const TOOLBOX_COMMON: [(&str, &str); 4] = [
-    ("toolbox_mod_good.rs", "crates/detect/src/good.rs"),
-    ("toolbox_core_toolbox.rs", "crates/core/src/toolbox.rs"),
-    ("toolbox_bench_bin.rs", "crates/bench/src/bin/fixture_grid.rs"),
-    ("toolbox_test.rs", "crates/detect/tests/fixture.rs"),
-];
-
-#[test]
-fn toolbox_parity_flags_unregistered_unreached_module() {
-    let mut files = vec![
-        ("toolbox_lib_bad.rs", "crates/detect/src/lib.rs"),
-        ("toolbox_mod_orphan.rs", "crates/detect/src/orphan.rs"),
-    ];
-    files.extend(TOOLBOX_COMMON);
-    let violations = analyze_assembly(&files);
-    let hits = of_rule(&violations, "toolbox-parity");
-    // `orphan` misses registration, bench reachability and test
-    // reachability — three findings, all anchored on its declaration.
-    assert_eq!(hits.len(), 3, "got {violations:?}");
-    assert!(hits.iter().all(|v| v.message.contains("`orphan`")), "got {hits:?}");
-    assert!(hits.iter().all(|v| v.path == "crates/detect/src/lib.rs"), "got {hits:?}");
-}
-
-#[test]
-fn toolbox_parity_accepts_fully_wired_module() {
-    let mut files = vec![("toolbox_lib_ok.rs", "crates/detect/src/lib.rs")];
-    files.extend(TOOLBOX_COMMON);
-    let violations = analyze_assembly(&files);
-    assert!(of_rule(&violations, "toolbox-parity").is_empty(), "got {violations:?}");
-}
-
-#[test]
-fn toolbox_parity_requires_toolbox_registry_imports() {
-    // Without crates/core/src/toolbox.rs the grid cannot be enumerated.
-    let violations = analyze_assembly(&[
-        ("toolbox_lib_ok.rs", "crates/detect/src/lib.rs"),
-        ("toolbox_mod_good.rs", "crates/detect/src/good.rs"),
-        ("toolbox_bench_bin.rs", "crates/bench/src/bin/fixture_grid.rs"),
-        ("toolbox_test.rs", "crates/detect/tests/fixture.rs"),
-    ]);
-    let hits = of_rule(&violations, "toolbox-parity");
-    assert!(hits.iter().any(|v| v.message.contains("toolbox.rs is missing")), "got {violations:?}");
-}
-
-#[test]
-fn panic_reachability_flags_public_api_over_transitive_panic() {
-    let violations = analyze_assembly(&[("panic_reach_bad.rs", "crates/data/src/fixture.rs")]);
-    let hits = of_rule(&violations, "panic-reachability");
-    assert_eq!(hits.len(), 1, "got {violations:?}");
-    assert!(hits[0].message.contains("normalized_head"), "got {hits:?}");
-    // The finding names the concrete panic site it can reach.
-    assert!(hits[0].message.contains("crates/data/src/fixture.rs:"), "got {hits:?}");
-}
-
-#[test]
-fn panic_reachability_respects_panic_annotations() {
-    let violations = analyze_assembly(&[("panic_reach_ok.rs", "crates/data/src/fixture.rs")]);
-    assert!(of_rule(&violations, "panic-reachability").is_empty(), "got {violations:?}");
-}
-
-#[test]
-fn result_discard_flags_let_underscore_on_first_party_result() {
-    let violations = analyze_assembly(&[("result_discard_bad.rs", "crates/core/src/fixture.rs")]);
-    let hits = of_rule(&violations, "result-discard");
-    assert_eq!(hits.len(), 1, "got {violations:?}");
-    assert!(hits[0].message.contains("persist"), "got {hits:?}");
-}
-
-#[test]
-fn result_discard_accepts_handled_results_and_plain_discards() {
-    let violations = analyze_assembly(&[("result_discard_ok.rs", "crates/core/src/fixture.rs")]);
-    assert!(of_rule(&violations, "result-discard").is_empty(), "got {violations:?}");
-}
-
-#[test]
-fn result_discard_is_exempt_in_tests() {
-    let violations = analyze_assembly(&[("result_discard_bad.rs", "crates/core/tests/fixture.rs")]);
-    assert!(of_rule(&violations, "result-discard").is_empty(), "got {violations:?}");
 }

@@ -6,8 +6,14 @@
 //! them, and hands the rule-based detectors progressively larger rule
 //! subsets.
 
-// Benchmark bins emit their report tables on stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a binary is the report surface: it prints its results and may abort on a broken invariant"
+)]
 
 use rand::prelude::*;
 use rand::rngs::StdRng;

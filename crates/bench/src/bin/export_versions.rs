@@ -4,8 +4,14 @@
 //!
 //! Usage: `export_versions <dataset> [out_dir]` (default `./rein_repo`).
 
-// Benchmark bins emit their report tables on stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a binary is the report surface: it prints its results and may abort on a broken invariant"
+)]
 
 use rein_bench::{conclude, dataset, phase};
 use rein_core::{Repository, VersionKey};

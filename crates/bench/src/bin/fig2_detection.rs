@@ -9,8 +9,14 @@
 //! Usage: `fig2_detection [dataset ...]` (default: the nine datasets the
 //! figure covers).
 
-// Benchmark bins emit their report tables on stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a binary is the report surface: it prints its results and may abort on a broken invariant"
+)]
 
 use rein_bench::{conclude, dataset, f, header, phase, secs};
 use rein_datasets::DatasetId;

@@ -6,8 +6,14 @@
 //! (the bubble plot of the paper, with bubbles above F1 0.6 highlighted)
 //! and the repairers' runtimes.
 
-// Benchmark bins emit their report tables on stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a binary is the report surface: it prints its results and may abort on a broken invariant"
+)]
 
 use rein_bench::{conclude, dataset, f, header, phase};
 use rein_core::DetectorRun;

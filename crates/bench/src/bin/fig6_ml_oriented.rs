@@ -6,8 +6,14 @@
 //! the ground truth) and S5 (the method's own output model tested on
 //! dirty data).
 
-// Benchmark bins emit their report tables on stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a binary is the report surface: it prints its results and may abort on a broken invariant"
+)]
 
 use rein_bench::{conclude, dataset, f, header, phase, repeats};
 use rein_core::{eval_classifier, eval_pipeline_s5, run_repair, Scenario, VersionTable};

@@ -4,8 +4,14 @@
 //! the Wilcoxon A/B markers between S1 and S4 and the S2-vs-S3
 //! serve-clean experiment (Figures 7n/7o).
 
-// Benchmark bins emit their report tables on stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a binary is the report surface: it prints its results and may abort on a broken invariant"
+)]
 
 use rein_bench::{conclude, dataset, f, header, phase, repeats};
 use rein_core::{

@@ -10,6 +10,15 @@
 //! sizes, so a laptop run finishes in minutes while `REIN_SCALE=1` runs
 //! the full-size study.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the config layer: REIN_* variables are read here once and passed down as parameters"
+)]
+#![expect(
+    clippy::print_stderr,
+    reason = "the bench emitters report bad environments and failed writes"
+)]
+
 use rein_core::{DetectorHarness, DetectorRun, GuardPolicy};
 use rein_datasets::{DatasetId, GeneratedDataset, Params};
 use rein_detect::DetectorKind;
@@ -103,7 +112,10 @@ pub fn worker_threads() -> u32 {
 /// is exactly what scoped-pool callers like `grid_smoke --mode parallel`
 /// rely on.
 pub fn install_thread_pool() {
-    // An Err means a global pool is already installed; its size wins.
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "an Err means a global pool is already installed; its size wins"
+    )]
     let _ = rayon::ThreadPoolBuilder::new().num_threads(worker_threads() as usize).build_global();
 }
 
@@ -124,7 +136,10 @@ const STANDARD_COUNTERS: [&str; 5] =
 /// it wrote so every benchmark run names its artefacts. Failures are
 /// reported on stderr, not panics — a missing manifest must not fail a
 /// benchmark run that already printed its report.
-#[allow(clippy::print_stdout)] // the artifact-path announcement is part of the report surface
+#[expect(
+    clippy::print_stdout,
+    reason = "the artifact-path announcement is part of the report surface"
+)]
 pub fn write_run_manifest(binary: &str, seed: u64, label_budget: u64) {
     for name in STANDARD_COUNTERS {
         rein_telemetry::counter(name);
@@ -155,6 +170,10 @@ pub fn write_run_manifest(binary: &str, seed: u64, label_budget: u64) {
 /// stable text file: a `== <key> (<len> bytes)` header per cell followed
 /// by the cell's bytes. Byte-identical grids produce byte-identical
 /// files, so CI compares dumps across `REIN_THREADS` settings by hash.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a cell dump is a CI comparison artifact, not a store file"
+)]
 pub fn dump_cells(
     path: &std::path::Path,
     cells: &std::collections::BTreeMap<String, String>,
@@ -277,7 +296,7 @@ pub fn controller(label_budget: usize, seed: u64) -> rein_core::Controller {
 /// (the manifest's `failures` array holds the details), `0` otherwise.
 /// Binaries call this instead of returning from `main` so partial
 /// results are always accompanied by an honest exit status.
-#[allow(clippy::print_stdout)] // the failure summary is part of the report surface
+#[expect(clippy::print_stdout, reason = "the failure summary is part of the report surface")]
 pub fn conclude(binary: &str, seed: u64, label_budget: u64) -> ! {
     write_run_manifest(binary, seed, label_budget);
     let failures = rein_telemetry::failures_snapshot();
@@ -319,13 +338,13 @@ pub fn run_detectors(
 }
 
 /// Section header in the emitted reports.
-#[allow(clippy::print_stdout)] // the one sanctioned stdout emitter for benchmark reports
+#[expect(clippy::print_stdout, reason = "the one sanctioned stdout emitter for benchmark reports")]
 pub fn header(title: &str) {
     println!("\n=== {title} ===");
 }
 
 /// Prints a row of fixed-width cells.
-#[allow(clippy::print_stdout)] // the one sanctioned stdout emitter for benchmark reports
+#[expect(clippy::print_stdout, reason = "the one sanctioned stdout emitter for benchmark reports")]
 pub fn row(cells: &[String]) {
     let line: Vec<String> = cells.iter().map(|c| format!("{c:>12}")).collect();
     println!("{}", line.join(" "));

@@ -36,7 +36,10 @@ impl CmpOp {
                     CmpOp::Leq => x <= y,
                     CmpOp::Gt => x > y,
                     CmpOp::Geq => x >= y,
-                    // audit:allow(panic, Eq/Neq are handled in the outer match; only order ops reach here)
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "Eq/Neq are handled in the outer match; only order ops reach here"
+                    )]
                     _ => unreachable!(),
                 },
                 // Non-numeric operands never satisfy an order predicate.

@@ -75,7 +75,10 @@ pub fn fd_violations(table: &Table, fd: &FunctionalDependency) -> CellMask {
         let max = counts.values().copied().max().unwrap_or(0);
         let majority_unique = counts.values().filter(|&&c| c == max).count() == 1;
         if majority_unique {
-            // audit:allow(panic, majority_unique guarantees a count equal to max exists)
+            #[expect(
+                clippy::unwrap_used,
+                reason = "majority_unique guarantees a count equal to max exists"
+            )]
             let majority: &Value = counts.iter().find(|(_, &c)| c == max).map(|(v, _)| *v).unwrap();
             let majority = majority.clone();
             for &r in rows {
@@ -145,12 +148,15 @@ pub fn repair_candidates_with_support(
         if counts.len() <= 1 {
             continue;
         }
-        // audit:allow(panic, counts checked non-empty above)
+        #[expect(clippy::unwrap_used, reason = "counts checked non-empty above")]
         let max = counts.values().copied().max().unwrap();
         if counts.values().filter(|&&c| c == max).count() != 1 {
             continue;
         }
-        // audit:allow(panic, a key with the max count always exists in a non-empty map)
+        #[expect(
+            clippy::unwrap_used,
+            reason = "a key with the max count always exists in a non-empty map"
+        )]
         let majority = counts.iter().find(|(_, &c)| c == max).map(|(v, _)| (*v).clone()).unwrap();
         for &r in rows {
             if table.cell(r, fd.rhs) != &majority {
@@ -182,12 +188,15 @@ pub fn repair_candidates(table: &Table, fd: &FunctionalDependency) -> Vec<(usize
         if counts.len() <= 1 {
             continue;
         }
-        // audit:allow(panic, counts checked non-empty above)
+        #[expect(clippy::unwrap_used, reason = "counts checked non-empty above")]
         let max = counts.values().copied().max().unwrap();
         if counts.values().filter(|&&c| c == max).count() != 1 {
             continue; // ambiguous, no candidate
         }
-        // audit:allow(panic, a key with the max count always exists in a non-empty map)
+        #[expect(
+            clippy::unwrap_used,
+            reason = "a key with the max count always exists in a non-empty map"
+        )]
         let majority = counts.iter().find(|(_, &c)| c == max).map(|(v, _)| (*v).clone()).unwrap();
         for &r in rows {
             if table.cell(r, fd.rhs) != &majority {

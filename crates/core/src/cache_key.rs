@@ -96,7 +96,10 @@ impl CellKey<'_> {
     /// `Display` output without building the string.
     pub fn hash(&self) -> u64 {
         let mut hash = Fnv1a64::default();
-        // The sink never fails, and neither does any component's Display.
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "the sink never fails, and neither does any component's Display"
+        )]
         let _ = write!(hash, "{self}");
         hash.finish()
     }

@@ -218,9 +218,12 @@ impl Controller {
     /// `REIN_PROGRESS` heartbeat is on. Only called from the grid's
     /// sequential merge points, so line order is scheduling-invariant;
     /// content is counts and coordinates, never timing or worker ids.
+    #[expect(
+        clippy::print_stderr,
+        reason = "opt-in REIN_PROGRESS heartbeat; deterministic content, emitted only at sequential merge points"
+    )]
     fn emit_progress(&self, line: &str) {
         if self.progress {
-            // audit:allow(print, opt-in REIN_PROGRESS heartbeat; deterministic content, emitted only at sequential merge points)
             eprintln!("[progress] {line}");
         }
     }
@@ -609,7 +612,7 @@ impl<'a> Grid<'a> {
             |i, id| {
                 let (scenario, c) = work[i];
                 let version = repairs[c].run.as_ref().and_then(|run| run.version.as_ref());
-                // audit:allow(panic, eval cells exist only for version-producing repairs, and each miss's repair ran live or was rehydrated above)
+                #[expect(clippy::expect_used, reason = "eval cells exist only for version-producing repairs, and each miss's repair ran live or was rehydrated above")]
                 let version = version.expect("versioned repair");
                 (self.ctrl.eval_cell(self.ds, scenario, version, plan.repeats, id.seed), None, ())
             },
@@ -857,8 +860,8 @@ struct CellRecord<R> {
 }
 
 /// The canonical `detect:…` cell payload: the mask as JSON.
+#[expect(clippy::expect_used, reason = "CellMask serialization to JSON strings is infallible")]
 fn detect_payload(mask: &CellMask) -> String {
-    // audit:allow(panic, CellMask serialization to JSON strings is infallible)
     serde_json::to_string(mask).expect("mask serializes")
 }
 
@@ -871,9 +874,12 @@ fn repair_payload(rep: &RepairRun) -> (String, Option<String>) {
     let Some(v) = &rep.version else { return (marker(), None) };
     let csv = rein_data::csv::write_str(&v.table);
     let payload = match &rep.repaired_cells {
+        #[expect(
+            clippy::expect_used,
+            reason = "CellMask serialization to JSON strings is infallible"
+        )]
         Some(m) => format!(
             "{csv}\n{}\n{:?}",
-            // audit:allow(panic, CellMask serialization to JSON strings is infallible)
             serde_json::to_string(m).expect("mask serializes"),
             v.row_map
         ),
@@ -893,6 +899,11 @@ fn render_scores(scores: &[f64], failure: Option<&StrategyFailure>) -> String {
 
 #[cfg(test)]
 mod tests {
+    #![expect(
+        clippy::let_underscore_must_use,
+        reason = "scratch directories are removed best-effort"
+    )]
+
     use super::*;
     use rein_datasets::{DatasetId, Params};
 

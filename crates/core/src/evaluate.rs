@@ -258,7 +258,7 @@ pub fn table_identity(table: &Table) -> String {
 pub(crate) fn version_identity(csv: &str, row_map: &[usize]) -> String {
     let mut hash = rein_ledger::Fnv1a64::default();
     hash.write_bytes(csv.as_bytes());
-    // The sink never fails.
+    #[expect(clippy::let_underscore_must_use, reason = "the sink never fails")]
     let _ = write!(hash, "\n{row_map:?}");
     format!("v:{:016x}", hash.finish())
 }
@@ -496,7 +496,10 @@ pub fn eval_classifier(
     repeats: usize,
     base_seed: u64,
 ) -> Vec<f64> {
-    // audit:allow(panic, classification datasets carry a label column by construction)
+    #[expect(
+        clippy::expect_used,
+        reason = "classification datasets carry a label column by construction"
+    )]
     let label_col = ds.clean.schema().label_index().expect("classification dataset");
     let feature_cols = ds.clean.schema().feature_indices();
     let labels = LabelMap::fit([&ds.clean, &version.table], label_col);
@@ -523,7 +526,6 @@ pub fn eval_classifier(
 /// [`eval_classifier`] under guard: a panicking or budget-exhausted
 /// model degrades to all-NaN scores (excluded from summaries) with the
 /// structured failure returned alongside.
-#[allow(clippy::too_many_arguments)]
 pub fn eval_classifier_guarded(
     scenario: Scenario,
     ds: &GeneratedDataset,
@@ -570,7 +572,10 @@ pub fn eval_regressor(
     repeats: usize,
     base_seed: u64,
 ) -> Vec<f64> {
-    // audit:allow(panic, regression datasets carry a label column by construction)
+    #[expect(
+        clippy::expect_used,
+        reason = "regression datasets carry a label column by construction"
+    )]
     let label_col = ds.clean.schema().label_index().expect("regression dataset");
     let feature_cols = ds.clean.schema().feature_indices();
     (0..repeats)
@@ -593,7 +598,6 @@ pub fn eval_regressor(
 }
 
 /// [`eval_regressor`] under guard; see [`eval_classifier_guarded`].
-#[allow(clippy::too_many_arguments)]
 pub fn eval_regressor_guarded(
     scenario: Scenario,
     ds: &GeneratedDataset,

@@ -107,6 +107,15 @@ impl Repository {
 
 #[cfg(test)]
 mod tests {
+    #![expect(
+        clippy::let_underscore_must_use,
+        reason = "scratch directories are removed best-effort"
+    )]
+    #![expect(
+        clippy::disallowed_methods,
+        reason = "tests simulate a torn write from a non-atomic writer"
+    )]
+
     use super::*;
     use rein_data::{ColumnMeta, ColumnType, Schema, Value};
 

@@ -7,6 +7,13 @@
 //! parallel tests share: each reads only the records of the one dataset
 //! and repairer it injects into.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test support: a broken expectation fails the test"
+)]
+
 use std::collections::BTreeMap;
 
 use rein_core::{

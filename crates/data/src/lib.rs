@@ -106,11 +106,13 @@ mod proptests {
         fn csv_read_bytes_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
             // Malformed input — ragged rows, stray quotes, invalid UTF-8 —
             // must surface as a typed Err, never a panic.
+            #[expect(clippy::let_underscore_must_use, reason = "only the absence of a panic is under test")]
             let _ = csv::read_bytes(&bytes);
         }
 
         #[test]
         fn csv_read_str_never_panics(text in "[\\x00-\\x7f\"\\n,]{0,256}") {
+            #[expect(clippy::let_underscore_must_use, reason = "only the absence of a panic is under test")]
             let _ = csv::read_str(&text);
         }
 

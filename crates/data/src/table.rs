@@ -177,7 +177,7 @@ impl Table {
         if counts.iter().all(|&c| c == 0) {
             return self.schema.column(col).ctype;
         }
-        // audit:allow(panic, the range 0..4 is never empty)
+        #[expect(clippy::unwrap_used, reason = "the range 0..4 is never empty")]
         let best = (0..4).max_by_key(|&i| counts[i]).unwrap();
         [ColumnType::Int, ColumnType::Float, ColumnType::Str, ColumnType::Bool][best]
     }

@@ -201,7 +201,7 @@ pub fn adult(p: &Params) -> GeneratedDataset {
         cols[14].push(Value::str(income));
     }
     let mut it = cols.into_iter();
-    // audit:allow(panic, the loop above filled exactly 15 columns)
+    #[expect(clippy::expect_used, reason = "the loop above filled exactly 15 columns")]
     let mut col = move || it.next().expect("15 columns");
     let clean = TableBuilder::new()
         .column("age", ColumnType::Int, ColumnRole::Feature, col())

@@ -39,7 +39,10 @@ impl GeneratedDataset {
 }
 
 /// Applies the error profile and packages the dataset.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one parameter per component of a generated dataset's definition"
+)]
 pub fn finish(
     name: &str,
     domain: &str,

@@ -122,12 +122,15 @@ impl Detector for MaxEntropy {
         let mut union = CellMask::new(t.n_rows(), t.n_cols());
         while !outputs.is_empty() {
             // Detector adding the most new cells = highest-entropy pick.
+            #[expect(
+                clippy::expect_used,
+                reason = "outputs checked non-empty by the loop condition"
+            )]
             let (best_pos, gain) = outputs
                 .iter()
                 .enumerate()
                 .map(|(pos, (_, m))| (pos, m.difference(&union).count()))
                 .max_by_key(|&(_, gain)| gain)
-                // audit:allow(panic, outputs checked non-empty by the loop condition)
                 .expect("non-empty");
             let (_, mask) = outputs.swap_remove(best_pos);
             let total = mask.count().max(1);

@@ -7,9 +7,10 @@
 //! ground-truth-backed [`context::Oracle`] to simulate the human annotator
 //! exactly as the original benchmark does.
 
-// Numeric kernels index several parallel arrays at once; iterator zips
-// would obscure them.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "numeric kernels index several parallel arrays at once; iterator zips would obscure them"
+)]
 
 pub mod cleanlab;
 pub mod context;

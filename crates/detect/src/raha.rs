@@ -152,7 +152,10 @@ impl Detector for Raha {
             let budget = self.labels_per_column.max(2);
             let mut labelled: Vec<(u64, bool)> = Vec::new();
             for (sig, rows) in groups.iter().take(budget) {
-                // audit:allow(panic, signature groups are built from at least one row each)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "signature groups are built from at least one row each"
+                )]
                 let &probe = rows.choose(&mut rng).expect("non-empty group");
                 let dirty = oracle.is_dirty(CellRef::new(probe, col));
                 labelled.push((*sig, dirty));

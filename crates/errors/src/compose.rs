@@ -152,7 +152,10 @@ pub fn compose(clean: &Table, specs: &[ErrorSpec], seed: u64) -> DirtyDataset {
             ErrorSpec::Mislabels { label_col, rate } => {
                 inject_mislabels(&dirty, *label_col, *rate, s).table
             }
-            // audit:allow(panic, duplicates are partitioned out by the caller above)
+            #[expect(
+                clippy::unreachable,
+                reason = "duplicates are partitioned out by the caller above"
+            )]
             ErrorSpec::Duplicates { .. } => unreachable!("partitioned"),
         };
         error_types.push(spec.error_type());

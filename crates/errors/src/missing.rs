@@ -33,7 +33,7 @@ pub fn inject_implicit_missing(table: &Table, cols: &[usize], rate: f64, seed: u
     let mut out = table.clone();
     let mut mask = CellMask::new(table.n_rows(), table.n_cols());
     for cell in pick_cells(&cells_of_columns(table, cols), rate, &mut rng) {
-        // audit:allow(panic, IMPLICIT_TOKENS is a non-empty const array)
+        #[expect(clippy::expect_used, reason = "IMPLICIT_TOKENS is a non-empty const array")]
         let token = *IMPLICIT_TOKENS.choose(&mut rng).expect("non-empty");
         out.set_cell(cell.row, cell.col, Value::str(token));
         mask.set(cell.row, cell.col, true);
@@ -53,7 +53,7 @@ pub fn inject_disguised_missing(table: &Table, cols: &[usize], rate: f64, seed: 
         .filter(|c| table.cell(c.row, c.col).as_f64().is_some())
         .collect();
     for cell in pick_cells(&candidates, rate, &mut rng) {
-        // audit:allow(panic, DISGUISED_NUMBERS is a non-empty const array)
+        #[expect(clippy::expect_used, reason = "DISGUISED_NUMBERS is a non-empty const array")]
         let sentinel = *DISGUISED_NUMBERS.choose(&mut rng).expect("non-empty");
         // Avoid a no-op when the true value equals the sentinel.
         let current = table.cell(cell.row, cell.col).as_f64().unwrap_or(f64::NAN);

@@ -46,7 +46,7 @@ pub fn inject_outliers(
         .filter(|c| table.cell(c.row, c.col).as_f64().is_some())
         .collect();
     for cell in pick_cells(&candidates, rate, &mut rng) {
-        // audit:allow(panic, candidates pre-filtered to columns with stats)
+        #[expect(clippy::expect_used, reason = "candidates pre-filtered to columns with stats")]
         let (mean, std) = column_stats(table, cell.col).expect("filtered");
         let sign = if rng.random_bool(0.5) { 1.0 } else { -1.0 };
         let jitter = randn(&mut rng).abs() * 0.25;
@@ -76,9 +76,9 @@ pub fn inject_gaussian_noise(
         .filter(|c| table.cell(c.row, c.col).as_f64().is_some())
         .collect();
     for cell in pick_cells(&candidates, rate, &mut rng) {
-        // audit:allow(panic, candidates pre-filtered to columns with stats)
+        #[expect(clippy::expect_used, reason = "candidates pre-filtered to columns with stats")]
         let (_, std) = column_stats(table, cell.col).expect("filtered");
-        // audit:allow(panic, candidates pre-filtered to numeric cells)
+        #[expect(clippy::expect_used, reason = "candidates pre-filtered to numeric cells")]
         let x = table.cell(cell.row, cell.col).as_f64().expect("filtered");
         let mut noise = randn(&mut rng) * sigma_scale * std;
         if noise == 0.0 {

@@ -82,7 +82,7 @@ fn apply_typo(s: &str, rng: &mut StdRng) -> Option<String> {
                 if ns.is_empty() {
                     continue;
                 }
-                // audit:allow(panic, ns checked non-empty before indexing)
+                #[expect(clippy::expect_used, reason = "ns checked non-empty before indexing")]
                 let repl = ns.chars().nth(rng.random_range(0..ns.len())).expect("non-empty");
                 let repl =
                     if chars[pos].is_ascii_uppercase() { repl.to_ascii_uppercase() } else { repl };

@@ -108,6 +108,7 @@ pub fn checkpoint(cost: u64) {
             budget.spent = budget.spent.saturating_add(cost);
             slot.set(Some(budget));
             if budget.spent > budget.allowance {
+                #[expect(clippy::panic, reason = "exhaustion unwinds to the enclosing guard, which catches it and degrades the cell")]
                 std::panic::panic_any(BudgetExhausted {
                     spent: budget.spent,
                     allowance: budget.allowance,

@@ -97,8 +97,11 @@ impl CrashSpec {
     /// Reads `REIN_CRASH`; unset or empty means no injection. A set but
     /// unparsable spec is an error — silently running crash-free when
     /// the operator asked for a kill test would invalidate the proof.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "REIN_CRASH is snapshotted once at startup by the bench binaries and folded into the guard policy; it only decides when the process aborts, never what a cell computes"
+    )]
     pub fn from_env() -> Result<Self, String> {
-        // audit:allow(env-read-confinement, REIN_CRASH is snapshotted once at startup by the bench binaries and folded into the guard policy; it only decides when the process aborts, never what a cell computes)
         match std::env::var("REIN_CRASH") {
             Err(_) => Ok(CrashSpec::default()),
             Ok(raw) => Self::parse(&raw),

@@ -277,6 +277,10 @@ struct TransientMarker {
 /// retries the attempt (with a derived seed) up to
 /// [`GuardPolicy::retries`] times before degrading the cell. Unwinds;
 /// calling it outside a guard propagates like a normal panic.
+#[expect(
+    clippy::panic,
+    reason = "a transient failure unwinds to the enclosing guard, which catches it and retries"
+)]
 pub fn transient_failure(message: impl Into<String>) -> ! {
     std::panic::panic_any(TransientMarker { message: message.into() })
 }
@@ -387,8 +391,11 @@ pub fn run<T>(
                 // One mandatory tick so stall injection (zero allowance)
                 // trips even for kernels without checkpoints.
                 checkpoint(1);
+                #[expect(
+                    clippy::panic,
+                    reason = "deliberate chaos injection, caught by this guard"
+                )]
                 if matches!(mode, Some(ChaosMode::Panic)) {
-                    // audit:allow(panic, deliberate chaos injection, caught by this guard)
                     panic!("chaos: injected panic for {}:{}", spec.phase.name(), spec.strategy);
                 }
                 if matches!(mode, Some(ChaosMode::Flaky)) && attempts == 1 {

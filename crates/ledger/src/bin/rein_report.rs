@@ -16,8 +16,14 @@
 //! that). Exit codes: 0 on success, 1 on a read, parse or write
 //! failure, 2 on usage errors.
 
-// Binaries are the report surface.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a binary is the report surface: it prints its results and may abort on a broken invariant"
+)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -68,8 +74,16 @@ fn run(args: &Args) -> Result<(), String> {
     std::fs::create_dir_all(&out_dir).map_err(|e| format!("mkdir {}: {e}", out_dir.display()))?;
     let md_path = out_dir.join("report.md");
     let html_path = out_dir.join("report.html");
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the report is a derived view, regenerated whole from the manifests"
+    )]
     std::fs::write(&md_path, report.to_markdown())
         .map_err(|e| format!("write {}: {e}", md_path.display()))?;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the report is a derived view, regenerated whole from the manifests"
+    )]
     std::fs::write(&html_path, report.to_html())
         .map_err(|e| format!("write {}: {e}", html_path.display()))?;
     println!(

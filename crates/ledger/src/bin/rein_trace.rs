@@ -23,8 +23,14 @@
 //! 4 when any export contains orphan spans (a trace-carrying span whose
 //! parent never appeared — the causal tree is incomplete).
 
-// Binaries are the report surface.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a binary is the report surface: it prints its results and may abort on a broken invariant"
+)]
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

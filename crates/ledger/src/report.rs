@@ -866,6 +866,10 @@ mod tests {
             let mut m = manifest(vec![span("detect:raha", 1, 0, false)], Vec::new());
             m.config.seed = seed;
             let path = telemetry.join(format!("fig2_detection-{seed}.json"));
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "a scratch manifest for the scan under test"
+            )]
             std::fs::write(path, m.to_json()).expect("manifest written");
         }
         let report = build_report(&dir, None).expect("first report");
@@ -979,6 +983,28 @@ mod tests {
         let report = build_report(&root, None).expect("report builds");
         assert_eq!(report.manifests, manifests.len() as u64);
         assert!(report.diff.is_none());
+        // Every bench binary has a committed manifest (grid_smoke writes
+        // one per mode), and every manifest marks its phases.
+        let bins = std::fs::read_dir(root.join("crates/bench/src/bin")).expect("bench bins");
+        for entry in bins {
+            let path = entry.expect("dir entry").path();
+            let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else { continue };
+            let binaries = match stem {
+                "grid_smoke" => vec!["parallel_smoke", "chaos_smoke", "crash_smoke"],
+                bin => vec![bin],
+            };
+            for binary in binaries {
+                assert!(
+                    manifests.iter().any(|(_, m)| m.binary == binary),
+                    "{stem} has no committed manifest for `{binary}`"
+                );
+            }
+        }
+        for (source, m) in &manifests {
+            let mut names =
+                m.spans.iter().map(|s| &s.name).chain(m.span_rollup.iter().map(|r| &r.name));
+            assert!(names.any(|name| name.starts_with("phase:")), "{source} marks no phase:* span");
+        }
     }
 
     #[test]

@@ -69,9 +69,9 @@ pub fn export_manifest(manifest: &RunManifest) -> (TraceForest, TraceExport) {
 /// Serializes a [`TraceExport`] to its on-disk form: pretty JSON with a
 /// trailing newline.
 pub fn export_json(export: &TraceExport) -> String {
-    let mut text = serde_json::to_string_pretty(export).unwrap_or_else(|e|
-        // audit:allow(panic, serializing plain owned data cannot fail)
-        panic!("trace export serializes: {e}"));
+    #[expect(clippy::panic, reason = "serializing plain owned data cannot fail")]
+    let mut text = serde_json::to_string_pretty(export)
+        .unwrap_or_else(|e| panic!("trace export serializes: {e}"));
     text.push('\n');
     text
 }
@@ -90,10 +90,22 @@ pub fn write_exports(
     let chrome = dir.join(format!("{stem}.trace.json"));
     let flame = dir.join(format!("{stem}.flame.svg"));
     let cells = dir.join(format!("{stem}.cells.json"));
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "trace exports are derived views, regenerated whole from the manifest"
+    )]
     std::fs::write(&chrome, chrome_trace_json(&forest))
         .map_err(|e| format!("write {}: {e}", chrome.display()))?;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "trace exports are derived views, regenerated whole from the manifest"
+    )]
     std::fs::write(&flame, flamegraph_svg(&forest))
         .map_err(|e| format!("write {}: {e}", flame.display()))?;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "trace exports are derived views, regenerated whole from the manifest"
+    )]
     std::fs::write(&cells, export_json(&export))
         .map_err(|e| format!("write {}: {e}", cells.display()))?;
     Ok([chrome, flame, cells])

@@ -6,8 +6,9 @@
 //! counters `model_fits` / `model_predictions`, histograms `model_fit` /
 //! `model_predict`. Wrappers add two atomic updates and one stopwatch
 //! read per call — noise next to any actual model fit. Timing goes
-//! through [`rein_telemetry::perf::Stopwatch`], the audit-sanctioned
-//! wall-clock source, so this file needs no wallclock carve-out.
+//! through [`rein_telemetry::perf::Stopwatch`], the one sanctioned
+//! wall-clock source, so this file needs no `disallowed_methods`
+//! exception.
 
 use rein_telemetry::perf::Stopwatch;
 use rein_telemetry::{counter, histogram};

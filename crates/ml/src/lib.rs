@@ -14,9 +14,10 @@
 //!
 //! Every stochastic component is a pure function of its seed.
 
-// Numeric kernels index several parallel arrays at once; iterator zips
-// would obscure them.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "numeric kernels index several parallel arrays at once; iterator zips would obscure them"
+)]
 
 pub mod adaboost;
 pub mod affinity;

@@ -198,7 +198,7 @@ impl Repairer for MlImputer {
             .repair(&RepairContext { dirty: &working, ..RepairContext::new(&working, det) });
         let mut working = match warm {
             RepairOutcome::Repaired { table, .. } => table,
-            // audit:allow(panic, StandardImpute always returns Repaired)
+            #[expect(clippy::unreachable, reason = "StandardImpute always returns Repaired")]
             _ => unreachable!(),
         };
 

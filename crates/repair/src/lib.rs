@@ -6,9 +6,10 @@
 //! BoostClean, CPClean) return a [`context::TrainedPipeline`] evaluated
 //! under scenario S5.
 
-// Numeric kernels index several parallel arrays at once; iterator zips
-// would obscure them.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "numeric kernels index several parallel arrays at once; iterator zips would obscure them"
+)]
 
 pub mod baran;
 pub mod cleanlab;
@@ -100,8 +101,8 @@ impl RepairKind {
     ];
 
     /// Table 1 index (1-based).
+    #[expect(clippy::expect_used, reason = "every RepairKind is listed in ALL")]
     pub fn index(self) -> usize {
-        // audit:allow(panic, every RepairKind is listed in ALL)
         RepairKind::ALL.iter().position(|k| *k == self).expect("in ALL") + 1
     }
 

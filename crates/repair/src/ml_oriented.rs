@@ -63,7 +63,10 @@ impl Repairer for ActiveClean {
     fn repair(&self, ctx: &RepairContext<'_>) -> RepairOutcome {
         let _span = rein_telemetry::span("repair:ml_oriented");
         let t = ctx.dirty;
-        // audit:allow(panic, documented precondition: ActiveClean only runs on labelled datasets)
+        #[expect(
+            clippy::expect_used,
+            reason = "documented precondition: ActiveClean only runs on labelled datasets"
+        )]
         let label_col = ctx.label_col.expect("ActiveClean requires a label column");
         let feats = feature_cols(t, label_col);
         let labels = LabelMap::fit([t], label_col);
@@ -187,7 +190,10 @@ impl Repairer for BoostClean {
     fn repair(&self, ctx: &RepairContext<'_>) -> RepairOutcome {
         let _span = rein_telemetry::span("repair:ml_oriented");
         let t = ctx.dirty;
-        // audit:allow(panic, documented precondition: BoostClean only runs on labelled datasets)
+        #[expect(
+            clippy::expect_used,
+            reason = "documented precondition: BoostClean only runs on labelled datasets"
+        )]
         let label_col = ctx.label_col.expect("BoostClean requires a label column");
         let feats = feature_cols(t, label_col);
         let labels = LabelMap::fit([t], label_col);
@@ -267,7 +273,7 @@ impl Repairer for BoostClean {
                     best = Some((tree, err, preds));
                 }
             }
-            // audit:allow(panic, the candidate loop always runs at least once)
+            #[expect(clippy::expect_used, reason = "the candidate loop always runs at least once")]
             let (tree, err, preds) = best.expect("candidates non-empty");
             let err = err.clamp(1e-10, 1.0);
             if err >= 1.0 - 1.0 / k {
@@ -321,7 +327,10 @@ impl Repairer for CpClean {
     fn repair(&self, ctx: &RepairContext<'_>) -> RepairOutcome {
         let _span = rein_telemetry::span("repair:ml_oriented");
         let t = ctx.dirty;
-        // audit:allow(panic, documented precondition: CPClean only runs on labelled datasets)
+        #[expect(
+            clippy::expect_used,
+            reason = "documented precondition: CPClean only runs on labelled datasets"
+        )]
         let label_col = ctx.label_col.expect("CPClean requires a label column");
         let feats = feature_cols(t, label_col);
         let labels = LabelMap::fit([t], label_col);

@@ -107,7 +107,7 @@ impl Repairer for HoloCleanRepair {
                     .then(b.2 .2.total_cmp(&a.2 .2))
                     .then(a.0.cmp(&b.0))
             });
-            // audit:allow(panic, cands checked non-empty above)
+            #[expect(clippy::expect_used, reason = "cands checked non-empty above")]
             let (col, value, _) = cands.into_iter().next().expect("non-empty");
             table.set_cell(row, col, value);
             repaired.set(row, col, true);

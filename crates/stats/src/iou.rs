@@ -27,7 +27,6 @@ pub fn iou_true_positives(a: &CellMask, b: &CellMask, actual: &CellMask) -> f64 
 /// Pairwise IoU matrix over a set of named detections (Figures 2b/2e/2g/…).
 ///
 /// Returns a symmetric `n × n` matrix with ones on the diagonal.
-#[allow(clippy::needless_range_loop)] // symmetric matrix fill reads clearer indexed
 pub fn iou_matrix(detections: &[(&str, &CellMask)], actual: &CellMask) -> Vec<Vec<f64>> {
     let tps: Vec<CellMask> = detections.iter().map(|(_, m)| m.intersect(actual)).collect();
     let n = tps.len();

@@ -16,6 +16,11 @@
 //! Steps 2 and 4 are the hardening this module adds over the repo's
 //! original pattern (DESIGN.md §6j).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "this module is the store's atomic commit path: the one place a store file is created raw, then fsynced and renamed"
+)]
+
 use std::fs::File;
 use std::io::Write;
 use std::path::Path;
@@ -39,6 +44,10 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
         fsync_dir(&dir)
     })();
     if result.is_err() {
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "best-effort cleanup; the write error is what the caller sees"
+        )]
         let _ = std::fs::remove_file(&tmp);
     }
     result
@@ -60,6 +69,11 @@ pub fn fsync_dir(dir: &Path) -> std::io::Result<()> {
 
 #[cfg(test)]
 mod tests {
+    #![expect(
+        clippy::let_underscore_must_use,
+        reason = "scratch directories are removed best-effort"
+    )]
+
     use super::*;
 
     fn tmp_root(name: &str) -> std::path::PathBuf {

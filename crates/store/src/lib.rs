@@ -240,6 +240,10 @@ impl Store {
             atomic_write(&journal_path, MAGIC)?;
             for name in files.iter().filter(|n| *n != JOURNAL_FILE) {
                 if segment_index(name).is_some_and(|i| i < next) {
+                    #[expect(
+                        clippy::let_underscore_must_use,
+                        reason = "a segment left behind is superseded by the compacted one and removed on the next open"
+                    )]
                     let _ = std::fs::remove_file(root.join(name));
                 }
             }
@@ -269,16 +273,16 @@ impl Store {
     }
 
     /// Number of distinct cells currently in the index.
+    #[expect(clippy::expect_used, reason = "store lock poisoning only follows another panic")]
     pub fn cell_count(&self) -> usize {
-        // audit:allow(panic, store lock poisoning only follows another panic)
         self.inner.lock().expect("store lock").cells.len()
     }
 
     /// Looks up a committed cell by its content key. Pure in-memory:
     /// no filesystem read happens outside [`Store::open`]. The returned
     /// cell shares the index's text; nothing is copied.
+    #[expect(clippy::expect_used, reason = "store lock poisoning only follows another panic")]
     pub fn lookup(&self, key: &str) -> Option<StoredCell> {
-        // audit:allow(panic, store lock poisoning only follows another panic)
         self.inner.lock().expect("store lock").cells.get(key).cloned()
     }
 
@@ -300,7 +304,7 @@ impl Store {
         if records.is_empty() {
             return Ok(0);
         }
-        // audit:allow(panic, store lock poisoning only follows another panic)
+        #[expect(clippy::expect_used, reason = "store lock poisoning only follows another panic")]
         let mut inner = self.inner.lock().expect("store lock");
         let mut committed = 0usize;
         for record in records {
@@ -643,6 +647,15 @@ fn write_quarantine_report(root: &Path, fresh: &[QuarantineEntry]) -> std::io::R
 
 #[cfg(test)]
 mod tests {
+    #![expect(
+        clippy::let_underscore_must_use,
+        reason = "scratch directories are removed best-effort"
+    )]
+    #![expect(
+        clippy::disallowed_methods,
+        reason = "tests write corrupt journals and segments on purpose"
+    )]
+
     use super::*;
 
     fn tmp_root(name: &str) -> PathBuf {

@@ -32,7 +32,7 @@ impl StoreWriter {
     pub fn stage(&self, key: &str, coordinate: &str, payload: Arc<str>, aux: Option<Arc<str>>) {
         let shard = (fnv1a64(coordinate.as_bytes()) % self.shards.len() as u64) as usize;
         let record = Record { key: key.to_string(), coordinate: coordinate.into(), payload, aux };
-        // audit:allow(panic, shard lock poisoning only follows another panic)
+        #[expect(clippy::expect_used, reason = "shard lock poisoning only follows another panic")]
         self.shards[shard].lock().expect("store writer shard lock").push(record);
     }
 
@@ -44,7 +44,10 @@ impl StoreWriter {
     pub fn merge_shards(&self) -> Vec<Record> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            // audit:allow(panic, shard lock poisoning only follows another panic)
+            #[expect(
+                clippy::expect_used,
+                reason = "shard lock poisoning only follows another panic"
+            )]
             out.append(&mut shard.lock().expect("store writer shard lock"));
         }
         out.sort_by(|a, b| (&a.coordinate, &a.key).cmp(&(&b.coordinate, &b.key)));
@@ -52,8 +55,8 @@ impl StoreWriter {
     }
 
     /// Number of currently staged records across all shards.
+    #[expect(clippy::expect_used, reason = "shard lock poisoning only follows another panic")]
     pub fn staged_len(&self) -> usize {
-        // audit:allow(panic, shard lock poisoning only follows another panic)
         self.shards.iter().map(|s| s.lock().expect("store writer shard lock").len()).sum()
     }
 }

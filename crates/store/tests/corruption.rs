@@ -5,6 +5,13 @@
 //! was actually committed — with the exact bad stretch quarantined and
 //! reported, never repaired in place.
 
+#![allow(
+    clippy::expect_used,
+    clippy::let_underscore_must_use,
+    clippy::disallowed_methods,
+    reason = "test support: scratch stores are corrupted on purpose and cleaned up best-effort"
+)]
+
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -49,21 +49,30 @@ fn registry() -> &'static Mutex<Vec<FailureRecord>> {
 
 /// Appends a failure to the process-global registry.
 pub fn record_failure(record: FailureRecord) {
-    // audit:allow(panic, failure list lock poisoning only follows another panic)
+    #[expect(
+        clippy::expect_used,
+        reason = "failure list lock poisoning only follows another panic"
+    )]
     registry().lock().expect("failure list lock").push(record);
 }
 
 /// Copies out every recorded failure, sorted by cell identity so the
 /// order is deterministic under parallel recording.
 pub fn failures_snapshot() -> Vec<FailureRecord> {
-    // audit:allow(panic, failure list lock poisoning only follows another panic)
+    #[expect(
+        clippy::expect_used,
+        reason = "failure list lock poisoning only follows another panic"
+    )]
     let mut out = registry().lock().expect("failure list lock").clone();
     out.sort_by(|a, b| a.key().cmp(&b.key()));
     out
 }
 
 pub(crate) fn reset_failures() {
-    // audit:allow(panic, failure list lock poisoning only follows another panic)
+    #[expect(
+        clippy::expect_used,
+        reason = "failure list lock poisoning only follows another panic"
+    )]
     registry().lock().expect("failure list lock").clear();
 }
 

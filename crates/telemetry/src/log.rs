@@ -5,6 +5,11 @@
 //! [`debug!`](crate::debug!) call site costs a single relaxed load — the
 //! format arguments are never evaluated.
 
+#![expect(
+    clippy::print_stderr,
+    reason = "this module is the telemetry layer's stderr event emitter"
+)]
+
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Emitter verbosity, ordered so `Info < Debug`.
@@ -39,7 +44,10 @@ pub fn level() -> Level {
         1 => Level::Info,
         2 => Level::Debug,
         _ => {
-            // audit:allow(env-read-confinement, REIN_LOG only selects log verbosity in the observer layer; it cannot reach a computed result)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "REIN_LOG only selects log verbosity in the observer layer; it cannot reach a computed result"
+            )]
             let from_env = std::env::var("REIN_LOG");
             let resolved = match &from_env {
                 Ok(raw) => parse(raw),

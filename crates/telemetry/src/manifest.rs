@@ -61,15 +61,21 @@ impl ManifestMode {
 /// Reads `REIN_MANIFEST` (default [`ManifestMode::Full`]). A value that
 /// is set but neither `full` nor `summary` is a hard error, never a
 /// silent default — consistent with the other environment overrides.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "REIN_MANIFEST only chooses how much the run manifest records; the manifest is observer output, never an input"
+)]
 pub fn manifest_mode() -> ManifestMode {
-    // audit:allow(env-read-confinement, REIN_MANIFEST only chooses how much the run manifest records; the manifest is observer output, never an input)
     match std::env::var("REIN_MANIFEST") {
         Err(_) => ManifestMode::Full,
         Ok(raw) => match raw.as_str() {
             "full" => ManifestMode::Full,
             "summary" => ManifestMode::Summary,
+            #[expect(
+                clippy::print_stderr,
+                reason = "a bad environment must fail loudly before any telemetry exists"
+            )]
             _ => {
-                // audit:allow(print, a bad environment must fail loudly before any telemetry exists)
                 eprintln!(
                     "error: REIN_MANIFEST={raw:?} is invalid: want `full` or `summary` \
                      (unset it to keep full span streams)"
@@ -195,8 +201,8 @@ impl RunManifest {
     }
 
     /// Serializes to pretty JSON.
+    #[expect(clippy::expect_used, reason = "serializing plain owned data cannot fail")]
     pub fn to_json(&self) -> String {
-        // audit:allow(panic, serializing plain owned data cannot fail)
         serde_json::to_string_pretty(self).expect("manifest serializes")
     }
 
@@ -207,6 +213,10 @@ impl RunManifest {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a run manifest is observer output, rewritten whole by every run; no store record depends on it"
+        )]
         std::fs::write(&path, self.to_json())?;
         crate::info!("wrote run manifest {}", path.display());
         Ok(path)

@@ -41,17 +41,17 @@ fn counter_registry() -> &'static Mutex<BTreeMap<String, Arc<AtomicU64>>> {
 
 /// Looks up (or registers) the counter `name`.
 pub fn counter(name: &str) -> Counter {
-    // audit:allow(panic, registry lock poisoning only follows another panic)
+    #[expect(clippy::expect_used, reason = "registry lock poisoning only follows another panic")]
     let mut registry = counter_registry().lock().expect("counter registry lock");
     let cell = registry.entry(name.to_string()).or_insert_with(|| Arc::new(AtomicU64::new(0)));
     Counter(Arc::clone(cell))
 }
 
 /// Current value of every registered counter.
+#[expect(clippy::expect_used, reason = "registry lock poisoning only follows another panic")]
 pub fn counters_snapshot() -> BTreeMap<String, u64> {
     counter_registry()
         .lock()
-        // audit:allow(panic, registry lock poisoning only follows another panic)
         .expect("counter registry lock")
         .iter()
         .map(|(name, cell)| (name.clone(), cell.load(Ordering::Relaxed)))
@@ -193,7 +193,7 @@ fn histogram_registry() -> &'static Mutex<BTreeMap<String, Arc<HistogramInner>>>
 
 /// Looks up (or registers) the duration histogram `name`.
 pub fn histogram(name: &str) -> Histogram {
-    // audit:allow(panic, registry lock poisoning only follows another panic)
+    #[expect(clippy::expect_used, reason = "registry lock poisoning only follows another panic")]
     let mut registry = histogram_registry().lock().expect("histogram registry lock");
     let inner = registry.entry(name.to_string()).or_insert_with(|| Arc::new(HistogramInner::new()));
     Histogram(Arc::clone(inner))
@@ -201,18 +201,18 @@ pub fn histogram(name: &str) -> Histogram {
 
 /// Summary of every registered histogram.
 pub fn histograms_snapshot() -> BTreeMap<String, HistogramSummary> {
+    #[expect(clippy::expect_used, reason = "registry lock poisoning only follows another panic")]
     let names: Vec<String> =
-        // audit:allow(panic, registry lock poisoning only follows another panic)
         histogram_registry().lock().expect("histogram registry lock").keys().cloned().collect();
     names.into_iter().map(|name| (name.clone(), histogram(&name).summary())).collect()
 }
 
 pub(crate) fn reset_metrics() {
-    // audit:allow(panic, registry lock poisoning only follows another panic)
+    #[expect(clippy::expect_used, reason = "registry lock poisoning only follows another panic")]
     for cell in counter_registry().lock().expect("counter registry lock").values() {
         cell.store(0, Ordering::Relaxed);
     }
-    // audit:allow(panic, registry lock poisoning only follows another panic)
+    #[expect(clippy::expect_used, reason = "registry lock poisoning only follows another panic")]
     for inner in histogram_registry().lock().expect("histogram registry lock").values() {
         for bucket in &inner.buckets {
             bucket.store(0, Ordering::Relaxed);

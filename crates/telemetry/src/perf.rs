@@ -1,7 +1,7 @@
 //! Performance primitives: the one sanctioned wall-clock source, an
 //! optional counting global allocator, and a span-tree profiler.
 //!
-//! The audit's `wallclock` rule bans `Instant::now`/`SystemTime`
+//! `crates/clippy.toml` disallows `Instant::now`/`SystemTime::now`
 //! everywhere except this file — every other module (including the rest
 //! of `rein-telemetry`) obtains time through [`now`] or [`Stopwatch`],
 //! so wall-clock reads stay quarantined in one reviewable place.
@@ -21,6 +21,11 @@
 //!   [`SpanRecord`]s into per-span-path statistics (total time, self
 //!   time, call count), flamegraph-style: the path of a span is the
 //!   `/`-joined chain of span names from its root to itself.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned wall-clock module: every timer in the workspace reads the clock through perf::now"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;

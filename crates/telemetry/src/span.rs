@@ -137,27 +137,33 @@ impl SpanSink {
     pub(crate) fn record(&self, shard: usize, record: SpanRecord) {
         let epoch = self.close_epoch.fetch_add(1, Ordering::Relaxed);
         let buffer = &self.shards[shard % self.shards.len()];
-        // audit:allow(panic, span shard lock poisoning only follows another panic)
+        #[expect(
+            clippy::expect_used,
+            reason = "span shard lock poisoning only follows another panic"
+        )]
         buffer.lock().expect("span shard lock").push((epoch, record));
     }
 
     /// Copies every shard out and merges deterministically.
     pub(crate) fn snapshot(&self) -> Vec<SpanRecord> {
-        let shards = self
-            .shards
-            .iter()
-            // audit:allow(panic, span shard lock poisoning only follows another panic)
-            .map(|s| s.lock().expect("span shard lock").clone())
-            .collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "span shard lock poisoning only follows another panic"
+        )]
+        let shards =
+            self.shards.iter().map(|s| s.lock().expect("span shard lock").clone()).collect();
         merge_shards(shards)
     }
 
     /// Removes every record from every shard and merges them.
     pub(crate) fn drain(&self) -> Vec<SpanRecord> {
+        #[expect(
+            clippy::expect_used,
+            reason = "span shard lock poisoning only follows another panic"
+        )]
         let shards = self
             .shards
             .iter()
-            // audit:allow(panic, span shard lock poisoning only follows another panic)
             .map(|s| std::mem::take(&mut *s.lock().expect("span shard lock")))
             .collect();
         merge_shards(shards)
@@ -167,7 +173,10 @@ impl SpanSink {
     /// ids, are process-monotonic).
     pub(crate) fn clear(&self) {
         for s in &self.shards {
-            // audit:allow(panic, span shard lock poisoning only follows another panic)
+            #[expect(
+                clippy::expect_used,
+                reason = "span shard lock poisoning only follows another panic"
+            )]
             s.lock().expect("span shard lock").clear();
         }
     }

@@ -142,7 +142,7 @@ pub fn build_traces(spans: &[SpanRecord]) -> TraceForest {
             }
         }
         let Some(root_id) = root_id else { continue };
-        // audit:allow(panic, root_id was taken from this very record set)
+        #[expect(clippy::expect_used, reason = "root_id was taken from this very record set")]
         let root_rec = records.iter().find(|r| r.id == root_id).expect("root record present");
         traces.push(CellTrace { trace_id, root: assemble(root_rec, &children) });
     }
@@ -222,7 +222,10 @@ pub fn chrome_trace_json(forest: &TraceForest) -> String {
 /// Depth-first event emission: each record consumes one tick; a span's
 /// duration is its subtree's tick count. Span ids are renumbered per
 /// trace in walk order, erasing the process-global allocation order.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the recursive walk threads its position, ids and output buffer through every call"
+)]
 fn emit_events(
     node: &TraceNode,
     parent_new_id: u64,
@@ -335,7 +338,10 @@ pub fn flamegraph_svg(forest: &TraceForest) -> String {
 /// Recursive frame layout: siblings in alphabetical order, x-extents
 /// proportional to subtree ticks, each level one frame height above its
 /// parent (root at the bottom).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the recursive layout threads its extents, scale and output buffer through every call"
+)]
 fn render_frames(
     frames: &BTreeMap<String, Frame>,
     path: &str,

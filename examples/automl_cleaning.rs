@@ -6,8 +6,11 @@
 //!
 //! Run with: `cargo run --example automl_cleaning`
 
-// Examples narrate their results on stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    clippy::expect_used,
+    reason = "an example narrates its results on stdout and stops at the first broken assumption"
+)]
 
 use rein::core::{run_repair, DetectorHarness};
 use rein::datasets::{DatasetId, Params};

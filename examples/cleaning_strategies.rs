@@ -6,8 +6,11 @@
 //!
 //! Run with: `cargo run --example cleaning_strategies`
 
-// Examples narrate their results on stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    clippy::expect_used,
+    reason = "an example narrates its results on stdout and stops at the first broken assumption"
+)]
 
 use rein::core::{
     eval_regressor, run_repair, CleaningStrategy, Controller, Scenario, VersionTable,

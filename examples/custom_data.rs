@@ -5,8 +5,11 @@
 //!
 //! Run with: `cargo run --example custom_data`
 
-// Examples narrate their results on stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    clippy::expect_used,
+    reason = "an example narrates its results on stdout and stops at the first broken assumption"
+)]
 
 use rein::constraints::{discover_fds, DiscoveryConfig};
 use rein::data::{csv, diff::diff_mask};

@@ -3,8 +3,11 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-// Examples narrate their results on stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    clippy::expect_used,
+    reason = "an example narrates its results on stdout and stops at the first broken assumption"
+)]
 
 use rein::core::{eval_classifier, run_repair, DetectorHarness, Scenario, VersionTable};
 use rein::datasets::{DatasetId, Params};

@@ -31,15 +31,30 @@ echo "==> traced benchmark at its real scale (layer coverage, one-thread and ful
 # map differs from the set-up's.
 bash benchmark/run.sh --all --seconds 1 --trace 1
 
-echo "==> cargo run -p rein-audit (determinism & integrity audit, semantic rules + SARIF, stale suppressions blocking)"
-cargo run -q -p rein-audit -- --quiet --deny-stale --sarif artifacts/audit/report.sarif
+echo "==> cargo run -p rein-audit (call-graph determinism & integrity rules + SARIF, stale suppressions blocking)"
+cargo run -q -p rein-audit -- --quiet --sarif artifacts/audit/report.sarif
 
-echo "==> grid smoke --mode chaos at REIN_THREADS=1 and 4 (exit 3 = degraded-as-injected)"
+echo "==> grid smoke --mode chaos: one rule over many cells, then REIN_THREADS=1 and 4 (exit 3 = degraded-as-injected)"
 # Chaos mode exits 3 by design: the injected cells *did* degrade and the
 # manifest records them. 4 = a non-injected cell diverged, 5 = wrong
-# failure set, anything else = crash or bad environment. Running it at
-# two pool widths and hashing the fault-free cell dumps proves the grid
-# is worker-count invariant in the serial/parallel dimension too.
+# failure set, anything else = crash or bad environment. An unscoped
+# repair rule degrades that repairer's cell in every mask group, and a
+# shared cell records one failure per detector it serves, so the first
+# run checks the failure set per rule and per trace. It runs before the
+# pinned runs because every chaos run rewrites the chaos_smoke-29
+# manifest that the trace step exports.
+set +e
+REIN_SCALE=0.05 REIN_CHAOS='repair:impute_mean_mode=stall' \
+  cargo run -q --release -p rein-bench --bin grid_smoke -- --mode chaos
+multi_exit=$?
+set -e
+if [ "$multi_exit" -ne 3 ]; then
+  echo "grid_smoke --mode chaos under one unscoped repair rule exited $multi_exit (expected 3)"
+  exit 1
+fi
+# Running the default spec at two pool widths and hashing the fault-free
+# cell dumps proves the grid is worker-count invariant in the
+# serial/parallel dimension too.
 for threads in 1 4; do
   set +e
   REIN_SCALE=0.05 REIN_THREADS=$threads cargo run -q --release -p rein-bench --bin grid_smoke -- \
@@ -127,10 +142,14 @@ fi
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --all-targets -- -D warnings"
+echo "==> cargo clippy --all-targets -- -D warnings (also the per-site determinism rules: wall clock, env reads, raw writes, hash containers, prints, panics, discarded results, stale #[expect]s)"
+# [workspace.lints.clippy] in Cargo.toml and crates/clippy.toml carry the
+# per-site determinism rules (DESIGN.md §6b); the audit above keeps only
+# the call-graph rules. A suppression is an #[expect] with a reason, and
+# one that stops matching fails here as unfulfilled_lint_expectations.
 cargo clippy --all-targets -- -D warnings
 
-echo "==> cargo clippy on the benchmark package -- -D warnings"
+echo "==> cargo clippy on the benchmark package -- -D warnings (its own workspace: the workspace lints and crates/clippy.toml do not reach it)"
 cargo clippy --offline --manifest-path benchmark/Cargo.toml --bins --tests -- -D warnings
 
 echo "CI checks passed."

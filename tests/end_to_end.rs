@@ -1,6 +1,12 @@
 //! End-to-end integration: dirty data → detection → repair → modeling,
 //! asserting the qualitative findings the paper reports.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test support: a broken expectation fails the test"
+)]
+
 use rein::core::{
     eval_classifier, eval_regressor, run_repair, Controller, DetectorHarness, Scenario,
     VersionTable,

@@ -2,6 +2,8 @@
 //! §6.5 — the shapes the reproduction must preserve, independent of
 //! absolute numbers.
 
+#![allow(clippy::unwrap_used, reason = "test support: a broken expectation fails the test")]
+
 use rein::core::{eval_classifier, eval_regressor, DetectorHarness, Scenario, VersionTable};
 use rein::datasets::{DatasetId, Params};
 use rein::detect::DetectorKind;

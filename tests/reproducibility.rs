@@ -1,6 +1,8 @@
 //! Reproducibility: every stage of the benchmark is a pure function of its
 //! seed — same seed, same bytes.
 
+#![allow(clippy::expect_used, reason = "test support: a broken expectation fails the test")]
+
 use rein::core::{eval_classifier, run_repair, DetectorHarness, Scenario, VersionTable};
 use rein::datasets::{DatasetId, Params};
 use rein::detect::DetectorKind;
