@@ -341,20 +341,26 @@ pub(crate) fn test_region_mask(lines: &[SourceLine]) -> Vec<bool> {
     mask
 }
 
-/// The per-file pass: reports every `audit:allow-file` annotation
-/// without a reason as an `annotation` violation. Such an annotation
+/// The per-file pass: reports every `audit:allow` and `audit:allow-file`
+/// annotation without a reason as an `annotation` violation, a line-level
+/// one at its own line and a file-level one at line 1. Such an annotation
 /// suppresses nothing ([`AllowTable::build`] drops it), so the finding it
 /// meant to silence is reported by its own rule as well.
 pub fn audit_source(path: &str, source: &str) -> Vec<Violation> {
-    let mut malformed: Vec<String> = Vec::new();
-    for line in lex(source) {
-        parse_allows(&line.comment, "audit:allow-file", &mut malformed);
+    let mut malformed: Vec<(usize, String)> = Vec::new();
+    let mut found = Vec::new();
+    for (i, line) in lex(source).iter().enumerate() {
+        for (marker, at) in [("audit:allow-file", 1), ("audit:allow", i + 1)] {
+            parse_allows(&line.comment, marker, &mut found);
+            malformed.extend(found.drain(..).map(|rule| (at, rule)));
+        }
     }
+    malformed.sort();
     malformed
         .into_iter()
-        .map(|rule| Violation {
+        .map(|(line, rule)| Violation {
             path: path.to_string(),
-            line: 1,
+            line,
             rule: "annotation".into(),
             message: format!(
                 "audit:allow for `{rule}` is missing a reason — write \
@@ -393,6 +399,17 @@ mod tests {
         );
         assert_eq!(bad.len(), 1, "{bad:?}");
         assert_eq!(bad[0].rule, "annotation");
+        // A line-level allow without a reason suppresses nothing either:
+        // it is reported at its own line, and only it.
+        let bad = audit_source(
+            "crates/detect/src/x.rs",
+            "fn f() {}\n// audit:allow(seed-provenance)\nlet t = 1; // audit:allow(panic, why)\n",
+        );
+        let at: Vec<(usize, &str)> = bad.iter().map(|v| (v.line, v.rule.as_str())).collect();
+        assert_eq!(at, [(2, "annotation")], "{bad:?}");
+        assert!(bad[0].message.contains("`seed-provenance`"), "{}", bad[0].message);
+        assert!(!AllowTable::build("// audit:allow(seed-provenance)\nfn f() {}\n")
+            .allows(2, "seed-provenance"));
     }
 
     #[test]

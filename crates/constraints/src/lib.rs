@@ -15,7 +15,8 @@ pub use dc::{all_dc_violations, CmpOp, DenialConstraint, Operand, Predicate};
 pub use discovery::{discover_fds, g3_error, DiscoveryConfig};
 pub use fd::{all_fd_violations, fd_violations, FunctionalDependency};
 pub use pattern::{
-    fingerprint, pattern_of, pattern_outliers, value_pattern, PatternProfile, ValuePattern,
+    fingerprint, pattern_of, pattern_outliers, push_pattern, value_pattern, ColumnPatterns,
+    PatternProfile, Tally, ValuePattern,
 };
 
 #[cfg(test)]

@@ -42,6 +42,13 @@ fn char_class(c: char) -> char {
 /// matching how FAHES generalises syntactic patterns.
 pub fn pattern_of(s: &str) -> ValuePattern {
     let mut out = String::new();
+    push_pattern(s, &mut out);
+    ValuePattern(out)
+}
+
+/// Appends [`pattern_of`]'s text for `s` to `out`, so a pass over many
+/// cells can reuse one buffer.
+pub fn push_pattern(s: &str, out: &mut String) {
     let mut chars = s.chars().peekable();
     while let Some(c) = chars.next() {
         let class = char_class(c);
@@ -55,7 +62,6 @@ pub fn pattern_of(s: &str) -> ValuePattern {
             out.push('+');
         }
     }
-    ValuePattern(out)
 }
 
 /// Exact (length-preserving) pattern: each character maps to its class.
@@ -63,10 +69,11 @@ pub fn exact_pattern_of(s: &str) -> ValuePattern {
     ValuePattern(s.chars().map(char_class).collect())
 }
 
-/// Pattern of a cell value (numbers and booleans pattern their display
-/// form; NULL yields the empty pattern).
+/// Pattern of a cell value: the pattern of its display text
+/// ([`Value::as_key`]), so a string patterns its own text, numbers and
+/// booleans their display form, and NULL yields the empty pattern.
 pub fn value_pattern(v: &Value) -> ValuePattern {
-    pattern_of(&v.to_string())
+    pattern_of(&v.as_key())
 }
 
 /// The distribution of generalised patterns in a column.
@@ -81,18 +88,7 @@ pub struct PatternProfile {
 impl PatternProfile {
     /// Profiles column `col` of a table (nulls excluded).
     pub fn of_column(table: &Table, col: usize) -> Self {
-        let mut map: BTreeMap<ValuePattern, usize> = BTreeMap::new();
-        let mut total = 0usize;
-        for v in table.column(col) {
-            if v.is_null() {
-                continue;
-            }
-            *map.entry(value_pattern(v)).or_insert(0) += 1;
-            total += 1;
-        }
-        let mut counts: Vec<(ValuePattern, usize)> = map.into_iter().collect();
-        counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0 .0.cmp(&b.0 .0)));
-        Self { counts, total }
+        ColumnPatterns::of_column(table, col).profile
     }
 
     /// The dominant pattern, if it covers at least `min_support` of cells.
@@ -117,26 +113,156 @@ impl PatternProfile {
     }
 }
 
+/// One column's generalised patterns, each non-null cell patterned once:
+/// its profile, and which of the profile's patterns each row has. A rule
+/// that checks the column at several supports reads this one profile.
+#[derive(Debug, Clone)]
+pub struct ColumnPatterns {
+    /// Per row, the index of its pattern in `profile.counts`; `None` for
+    /// a NULL cell.
+    cells: Vec<Option<usize>>,
+    profile: PatternProfile,
+}
+
+impl ColumnPatterns {
+    /// Patterns column `col` of a table. Each cell's display text renders
+    /// into one reused buffer, and each distinct pattern is copied once,
+    /// the first time it is seen.
+    pub fn of_column(table: &Table, col: usize) -> Self {
+        let mut tally = Tally::default();
+        let (mut key, mut pattern) = (String::new(), String::new());
+        let mut cells: Vec<Option<usize>> = table
+            .column(col)
+            .iter()
+            .map(|v| {
+                if v.is_null() {
+                    return None;
+                }
+                pattern.clear();
+                push_pattern(v.key_into(&mut key), &mut pattern);
+                Some(tally.add(&pattern))
+            })
+            .collect();
+        let total = cells.iter().flatten().count();
+        let mut ranked: Vec<(ValuePattern, usize, usize)> = tally
+            .into_texts()
+            .map(|(pattern, count, slot)| (ValuePattern(pattern), count, slot))
+            .collect();
+        ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0 .0.cmp(&b.0 .0)));
+        // Renumber each row's pattern from its first-seen slot to its rank.
+        let mut rank_of = vec![0; ranked.len()];
+        for (rank, &(_, _, slot)) in ranked.iter().enumerate() {
+            rank_of[slot] = rank;
+        }
+        for slot in cells.iter_mut().flatten() {
+            *slot = rank_of[*slot];
+        }
+        let counts = ranked.into_iter().map(|(pattern, n, _)| (pattern, n)).collect();
+        Self { cells, profile: PatternProfile { counts, total } }
+    }
+
+    /// Rows whose pattern deviates from the dominant one (requires the
+    /// dominant pattern to have at least `min_support`); empty when no
+    /// pattern dominates.
+    pub fn outliers(&self, min_support: f64) -> Vec<usize> {
+        if self.profile.dominant(min_support).is_none() {
+            return Vec::new();
+        }
+        // The dominant pattern ranks first.
+        (0..self.cells.len()).filter(|&r| self.cells[r].is_some_and(|rank| rank != 0)).collect()
+    }
+}
+
+/// Counts the distinct texts of one pass over a column, such as its
+/// patterns or its value keys, copying each text only the first time it
+/// is seen.
+#[derive(Debug, Default)]
+pub struct Tally {
+    slots: BTreeMap<String, usize>,
+    counts: Vec<usize>,
+}
+
+impl Tally {
+    /// Counts one occurrence of `text` and returns its slot; slots are
+    /// numbered in order of first appearance.
+    pub fn add(&mut self, text: &str) -> usize {
+        let slot = match self.slots.get(text) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.counts.len();
+                self.slots.insert(text.to_owned(), slot);
+                self.counts.push(0);
+                slot
+            }
+        };
+        self.counts[slot] += 1;
+        slot
+    }
+
+    /// How many times the text in `slot` was counted.
+    pub fn count(&self, slot: usize) -> usize {
+        self.counts[slot]
+    }
+
+    /// Each distinct text with its count and slot, in text order.
+    pub fn into_texts(self) -> impl Iterator<Item = (String, usize, usize)> {
+        let counts = self.counts;
+        self.slots.into_iter().map(move |(text, slot)| (text, counts[slot], slot))
+    }
+}
+
 /// Rows of `col` whose pattern deviates from the dominant one (requires the
 /// dominant pattern to have at least `min_support`); empty when no pattern
 /// dominates.
 pub fn pattern_outliers(table: &Table, col: usize, min_support: f64) -> Vec<usize> {
-    let profile = PatternProfile::of_column(table, col);
-    let Some(dominant) = profile.dominant(min_support) else {
-        return Vec::new();
-    };
-    let dominant = dominant.clone();
-    (0..table.n_rows())
-        .filter(|&r| {
-            let v = table.cell(r, col);
-            !v.is_null() && value_pattern(v) != dominant
-        })
-        .collect()
+    ColumnPatterns::of_column(table, col).outliers(min_support)
+}
+
+/// Profiling and outlier rules as they were before [`ColumnPatterns`]:
+/// every cell patterned from a `Display` clone, twice per outlier query.
+/// The shared implementation must reproduce them exactly.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) fn value_pattern(v: &Value) -> ValuePattern {
+        pattern_of(&v.to_string())
+    }
+
+    pub(super) fn profile_of_column(table: &Table, col: usize) -> PatternProfile {
+        let mut map: BTreeMap<ValuePattern, usize> = BTreeMap::new();
+        let mut total = 0usize;
+        for v in table.column(col) {
+            if v.is_null() {
+                continue;
+            }
+            *map.entry(value_pattern(v)).or_insert(0) += 1;
+            total += 1;
+        }
+        let mut counts: Vec<(ValuePattern, usize)> = map.into_iter().collect();
+        counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0 .0.cmp(&b.0 .0)));
+        PatternProfile { counts, total }
+    }
+
+    pub(super) fn pattern_outliers(table: &Table, col: usize, min_support: f64) -> Vec<usize> {
+        let profile = profile_of_column(table, col);
+        let Some(dominant) = profile.dominant(min_support) else {
+            return Vec::new();
+        };
+        let dominant = dominant.clone();
+        (0..table.n_rows())
+            .filter(|&r| {
+                let v = table.cell(r, col);
+                !v.is_null() && value_pattern(v) != dominant
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rein_data::{ColumnMeta, ColumnType, Schema};
 
     #[test]
@@ -204,6 +330,66 @@ mod tests {
         assert_eq!(p.total, 0);
         assert!(p.dominant(0.5).is_none());
         assert_eq!(p.support(&pattern_of("D")), 0.0);
+    }
+
+    /// A cell of a mixed column from a drawn `(kind, x)`: ints, integral,
+    /// fractional and huge floats, ±0.0, strings with spaces, non-ASCII
+    /// text or digits, booleans, NULLs, and a common two-digit shape so
+    /// that some columns have a dominant pattern.
+    fn mixed_cell((kind, x): (u8, u64)) -> Value {
+        const TEXT: [&str; 12] = [
+            "Pale Ale",
+            " lead",
+            "trail ",
+            "a  b",
+            "Ä",
+            "naïve café",
+            "東京",
+            "ß-9",
+            "12345",
+            "A-12",
+            "x1",
+            "",
+        ];
+        let i = (x % 1000) as i64 - 500;
+        match kind {
+            0 => Value::Null,
+            1 => Value::Int(i),
+            2 => Value::Float(i as f64),
+            3 => Value::Float(i as f64 / 7.0),
+            4 => Value::Float(if x % 2 == 0 { 0.0 } else { -0.0 }),
+            5 => Value::Float(i as f64 * 1e14),
+            6 => Value::str(TEXT[(x % 12) as usize]),
+            7 => Value::Bool(x % 2 == 0),
+            _ => Value::Int((x % 90) as i64 + 10),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// Patterning each cell once, from its own text, profiles the
+        /// column and flags the same rows at every support as patterning
+        /// a `Display` clone of every cell, twice per query.
+        #[test]
+        fn column_patterns_match_the_reference(
+            cells in prop::collection::vec((0u8..12, 0u64..100_000), 0..40)
+        ) {
+            let t = column(cells.into_iter().map(mixed_cell).collect());
+            for v in t.column(0) {
+                prop_assert_eq!(value_pattern(v), reference::value_pattern(v));
+            }
+            let (got, want) = (PatternProfile::of_column(&t, 0), reference::profile_of_column(&t, 0));
+            prop_assert_eq!(&got.counts, &want.counts);
+            prop_assert_eq!(got.total, want.total);
+            let patterns = ColumnPatterns::of_column(&t, 0);
+            for support in [0.0, 0.3, 0.5, 0.7, 0.8, 0.9, 1.0] {
+                prop_assert_eq!(
+                    patterns.outliers(support),
+                    reference::pattern_outliers(&t, 0, support)
+                );
+            }
+        }
     }
 }
 

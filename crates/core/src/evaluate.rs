@@ -74,12 +74,12 @@ impl DetectorHarness {
         }
     }
 
-    /// Runs one detector under guard, returning its mask, quality and
-    /// runtime. The detection runs inside `rein_guard::run`: a panicking
-    /// or budget-exhausted detector degrades to an empty mask with a
-    /// populated [`DetectorRun::failure`] instead of aborting the run.
-    /// The guard opens the `detect:<name>` telemetry span; the reported
-    /// runtime is that span's duration.
+    /// Runs one detector under guard, returning its mask, quality,
+    /// runtime and ticks. The detection runs inside `rein_guard::run`: a
+    /// panicking or budget-exhausted detector degrades to an empty mask
+    /// with a populated [`DetectorRun::failure`] instead of aborting the
+    /// run. The guard opens the `detect:<name>` telemetry span; the
+    /// reported runtime is that span's duration.
     pub fn run(&self, ds: &GeneratedDataset, kind: DetectorKind) -> DetectorRun {
         let rows = ds.dirty.n_rows();
         let cols = ds.dirty.n_cols();
@@ -114,17 +114,18 @@ impl DetectorHarness {
         rein_telemetry::counter("detector_invocations").incr();
         rein_telemetry::counter("cells_scanned").add((rows * cols) as u64);
         rein_telemetry::histogram("detector_runtime").record(report.elapsed);
+        let (runtime, ticks) = (report.elapsed, report.ticks);
         match report.outcome {
             Ok(mask) => {
                 let quality = evaluate_detection(&mask, &ds.mask);
-                DetectorRun { kind, mask, quality, runtime: report.elapsed, failure: None }
+                DetectorRun { kind, mask, quality, runtime, ticks, failure: None }
             }
             Err(failure) => {
                 // Degrade to "detected nothing": the cell stays in the
                 // grid with zero recall rather than silently vanishing.
                 let mask = CellMask::new(rows, cols);
                 let quality = evaluate_detection(&mask, &ds.mask);
-                DetectorRun { kind, mask, quality, runtime: report.elapsed, failure: Some(failure) }
+                DetectorRun { kind, mask, quality, runtime, ticks, failure: Some(failure) }
             }
         }
     }
@@ -193,6 +194,10 @@ pub struct DetectorRun {
     pub quality: DetectionQuality,
     /// Wall-clock runtime.
     pub runtime: Duration,
+    /// Guard ticks the detector debited ([`rein_guard::GuardReport::ticks`]):
+    /// its runtime as a deterministic cost. Zero for a replayed run. It
+    /// enters no payload, key, record or manifest.
+    pub ticks: u64,
     /// The structured failure when the detector degraded under guard.
     pub failure: Option<StrategyFailure>,
 }
@@ -200,8 +205,8 @@ pub struct DetectorRun {
 /// Rebuilds a [`DetectorRun`] from a stored detection mask (a durable
 /// store hit): quality is recomputed against the ground truth — it is a
 /// pure function of the mask, so the replayed run is observably
-/// equivalent to the original except for `runtime`, which is zero
-/// because nothing executed. A replayed run never carries a failure:
+/// equivalent to the original except for `runtime` and `ticks`, which
+/// are zero because nothing executed. A replayed run never carries a failure:
 /// the store only ever holds the mask the original run committed, and
 /// a degraded run's empty mask replays as exactly that empty mask.
 pub fn replay_detector_run(
@@ -210,7 +215,7 @@ pub fn replay_detector_run(
     mask: CellMask,
 ) -> DetectorRun {
     let quality = evaluate_detection(&mask, &ds.mask);
-    DetectorRun { kind, mask, quality, runtime: Duration::ZERO, failure: None }
+    DetectorRun { kind, mask, quality, runtime: Duration::ZERO, ticks: 0, failure: None }
 }
 
 /// A data version aligned to the clean-row space: `row_map[i]` is the

@@ -87,6 +87,25 @@ impl Value {
         }
     }
 
+    /// [`Value::as_key`]'s text without allocating: a string lends its
+    /// own text and any other value renders into `buf`, so a pass over a
+    /// column reuses one buffer.
+    pub fn key_into<'a>(&'a self, buf: &'a mut String) -> &'a str {
+        use std::fmt::Write as _;
+        match self {
+            Value::Str(s) => s,
+            other => {
+                buf.clear();
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "writing to a String never fails"
+                )]
+                let _ = write!(buf, "{other}");
+                buf
+            }
+        }
+    }
+
     /// Parses a raw text field into the most specific value.
     ///
     /// Empty strings and a small set of NULL spellings become `Null`; then
@@ -355,5 +374,25 @@ mod tests {
         assert_eq!(Value::Int(3).as_key(), Value::Int(3).to_string());
         assert_eq!(Value::str("ipa").as_key(), "ipa");
         assert_eq!(Value::Null.as_key(), "");
+    }
+
+    #[test]
+    fn key_into_is_the_key_and_the_display_text() {
+        let mut buf = String::from("stale");
+        for v in [
+            Value::Null,
+            Value::Int(-7),
+            Value::Float(3.0),
+            Value::Float(-0.0),
+            Value::Float(2.5e-7),
+            Value::Float(1e16),
+            Value::str(" Ä b "),
+            Value::str(""),
+            Value::Bool(false),
+        ] {
+            let key = v.key_into(&mut buf).to_string();
+            assert_eq!(key, v.as_key(), "{v:?}");
+            assert_eq!(key, v.to_string(), "{v:?}");
+        }
     }
 }

@@ -7,7 +7,7 @@
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use rein_data::rng::derive_seed;
-use rein_data::{CellMask, Table};
+use rein_data::{CellMask, Table, Value};
 
 use crate::context::{DetectContext, Detector};
 
@@ -91,60 +91,111 @@ fn fit_mixture(xs: &[f64]) -> ((f64, f64), (f64, f64)) {
     ((m1, s1), (m2, s2))
 }
 
-/// Flags for one column under one (model, tightness) configuration.
-fn flags_for(t: &Table, col: usize, kind: ModelKind, tightness: f64) -> Vec<usize> {
-    let xs = t.numeric_values(col);
-    if xs.len() < 8 {
-        return Vec::new();
+/// Equal-width bins of the histogram model.
+const BINS: usize = 20;
+
+/// One numeric column's models, built once and shared by every trial of
+/// the search: its numeric view per row, Gaussian moments and histogram,
+/// and the mixture, fitted on the first trial that draws it. A trial then
+/// only applies its threshold.
+struct ColumnModels {
+    /// Each row's numeric view ([`rein_data::Value::as_f64`]).
+    view: Vec<Option<f64>>,
+    /// The numeric cells in row order; `None` when fewer than 8, for which
+    /// every configuration flags nothing.
+    xs: Option<Vec<f64>>,
+    /// Mean and standard deviation.
+    gaussian: (f64, f64),
+    /// `lo`, bin width and bin counts; `None` when every value is equal.
+    histogram: Option<(f64, f64, [usize; BINS])>,
+    mixture: Option<((f64, f64), (f64, f64))>,
+}
+
+/// What one (model, tightness) configuration flags in its column.
+enum Rule {
+    Nothing,
+    Gaussian { mean: f64, bound: f64 },
+    Mixture { m1: f64, bound1: f64, m2: f64, bound2: f64 },
+    Histogram { lo: f64, width: f64, counts: [usize; BINS], min_count: usize },
+}
+
+impl Rule {
+    fn flags(&self, x: f64) -> bool {
+        match *self {
+            Rule::Nothing => false,
+            Rule::Gaussian { mean, bound } => (x - mean).abs() > bound,
+            Rule::Mixture { m1, bound1, m2, bound2 } => {
+                (x - m1).abs() > bound1 && (x - m2).abs() > bound2
+            }
+            Rule::Histogram { lo, width, counts, min_count } => {
+                let b = (((x - lo) / width) as usize).min(BINS - 1);
+                counts[b] < min_count
+            }
+        }
     }
-    match kind {
-        ModelKind::Gaussian => {
-            let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-            let std = (xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64)
-                .sqrt()
-                .max(1e-12);
-            (0..t.n_rows())
-                .filter(|&r| {
-                    t.cell(r, col).as_f64().is_some_and(|x| (x - mean).abs() > tightness * std)
-                })
-                .collect()
+}
+
+impl ColumnModels {
+    fn new(t: &Table, col: usize) -> Self {
+        let view: Vec<Option<f64>> = t.column(col).iter().map(Value::as_f64).collect();
+        let xs: Vec<f64> = view.iter().flatten().copied().collect();
+        let mut models =
+            ColumnModels { view, xs: None, gaussian: (0.0, 0.0), histogram: None, mixture: None };
+        if xs.len() < 8 {
+            return models;
         }
-        ModelKind::Mixture => {
-            let ((m1, s1), (m2, s2)) = fit_mixture(&xs);
-            (0..t.n_rows())
-                .filter(|&r| {
-                    t.cell(r, col).as_f64().is_some_and(|x| {
-                        (x - m1).abs() > tightness * s1 && (x - m2).abs() > tightness * s2
-                    })
-                })
-                .collect()
-        }
-        ModelKind::Histogram => {
-            // Equal-width bins; values in bins rarer than `1/tightness²·n`
-            // are flagged.
-            let lo = xs.iter().copied().fold(f64::INFINITY, f64::min);
-            let hi = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            if hi <= lo {
-                return Vec::new();
-            }
-            let bins = 20usize;
-            let width = (hi - lo) / bins as f64;
-            let mut counts = vec![0usize; bins];
+        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
+        let std = (xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64)
+            .sqrt()
+            .max(1e-12);
+        models.gaussian = (mean, std);
+        let lo = xs.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        if hi > lo {
+            let width = (hi - lo) / BINS as f64;
+            let mut counts = [0usize; BINS];
             for &x in &xs {
-                let b = (((x - lo) / width) as usize).min(bins - 1);
-                counts[b] += 1;
+                counts[(((x - lo) / width) as usize).min(BINS - 1)] += 1;
             }
-            let min_count = (xs.len() as f64 / (tightness * tightness).max(1.0) / bins as f64)
-                .max(1.0) as usize;
-            (0..t.n_rows())
-                .filter(|&r| {
-                    t.cell(r, col).as_f64().is_some_and(|x| {
-                        let b = (((x - lo) / width) as usize).min(bins - 1);
-                        counts[b] < min_count
-                    })
-                })
-                .collect()
+            models.histogram = Some((lo, width, counts));
         }
+        models.xs = Some(xs);
+        models
+    }
+
+    /// The rule of one configuration. Values in histogram bins rarer than
+    /// `1/tightness²·n` are flagged.
+    fn rule(&mut self, kind: ModelKind, tightness: f64) -> Rule {
+        let Some(xs) = &self.xs else { return Rule::Nothing };
+        match kind {
+            ModelKind::Gaussian => {
+                let (mean, std) = self.gaussian;
+                Rule::Gaussian { mean, bound: tightness * std }
+            }
+            ModelKind::Mixture => {
+                let ((m1, s1), (m2, s2)) = *self.mixture.get_or_insert_with(|| fit_mixture(xs));
+                Rule::Mixture { m1, bound1: tightness * s1, m2, bound2: tightness * s2 }
+            }
+            ModelKind::Histogram => match self.histogram {
+                None => Rule::Nothing,
+                Some((lo, width, counts)) => {
+                    let min_count =
+                        (xs.len() as f64 / (tightness * tightness).max(1.0) / BINS as f64).max(1.0)
+                            as usize;
+                    Rule::Histogram { lo, width, counts, min_count }
+                }
+            },
+        }
+    }
+
+    /// Rows the configuration flags, ascending.
+    fn flagged(&mut self, kind: ModelKind, tightness: f64) -> impl Iterator<Item = usize> + '_ {
+        let rule = self.rule(kind, tightness);
+        self.view
+            .iter()
+            .enumerate()
+            .filter(move |(_, x)| x.is_some_and(|x| rule.flags(x)))
+            .map(|(r, _)| r)
     }
 }
 
@@ -159,11 +210,12 @@ impl Detector for DBoost {
         let mut mask = CellMask::new(t.n_rows(), t.n_cols());
         for col in ctx.numeric_columns() {
             let mut rng = StdRng::seed_from_u64(derive_seed(ctx.seed, col as u64));
+            let mut models = ColumnModels::new(t, col);
             // Adapt the flag-rate target to the column's estimated
             // contamination (bimodal columns carry large outlier mass).
-            let xs = t.numeric_values(col);
-            let target = estimate_contamination(&xs).max(self.target_rate);
-            let mut best: Option<(f64, Vec<usize>)> = None;
+            let xs = models.xs.as_deref().unwrap_or_default();
+            let target = estimate_contamination(xs).max(self.target_rate);
+            let mut best: Option<(f64, ModelKind, f64)> = None;
             for _ in 0..self.n_trials {
                 let kind = match rng.random_range(0..3u8) {
                     0 => ModelKind::Gaussian,
@@ -171,17 +223,17 @@ impl Detector for DBoost {
                     _ => ModelKind::Histogram,
                 };
                 let tightness = rng.random_range(1.2..6.0);
-                let flags = flags_for(t, col, kind, tightness);
-                let rate = flags.len() as f64 / t.n_rows().max(1) as f64;
+                let flagged = models.flagged(kind, tightness).count();
+                let rate = flagged as f64 / t.n_rows().max(1) as f64;
                 // Score: distance of the flag rate to the expected outlier
                 // rate; a configuration flagging half the column is useless.
                 let score = (rate - target).abs();
-                if best.as_ref().is_none_or(|(s, _)| score < *s) {
-                    best = Some((score, flags));
+                if best.is_none_or(|(s, _, _)| score < s) {
+                    best = Some((score, kind, tightness));
                 }
             }
-            if let Some((_, flags)) = best {
-                for r in flags {
+            if let Some((_, kind, tightness)) = best {
+                for r in models.flagged(kind, tightness) {
                     mask.set(r, col, true);
                 }
             }
@@ -213,10 +265,98 @@ impl Detector for DBoost {
     }
 }
 
+/// The search's flags as they were before [`ColumnModels`]: every trial
+/// rebuilt the column's numeric view and models.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// Flags for one column under one (model, tightness) configuration.
+    pub(super) fn flags_for(t: &Table, col: usize, kind: ModelKind, tightness: f64) -> Vec<usize> {
+        let xs = t.numeric_values(col);
+        if xs.len() < 8 {
+            return Vec::new();
+        }
+        match kind {
+            ModelKind::Gaussian => {
+                let mean = xs.iter().sum::<f64>() / xs.len() as f64;
+                let std = (xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64)
+                    .sqrt()
+                    .max(1e-12);
+                (0..t.n_rows())
+                    .filter(|&r| {
+                        t.cell(r, col).as_f64().is_some_and(|x| (x - mean).abs() > tightness * std)
+                    })
+                    .collect()
+            }
+            ModelKind::Mixture => {
+                let ((m1, s1), (m2, s2)) = fit_mixture(&xs);
+                (0..t.n_rows())
+                    .filter(|&r| {
+                        t.cell(r, col).as_f64().is_some_and(|x| {
+                            (x - m1).abs() > tightness * s1 && (x - m2).abs() > tightness * s2
+                        })
+                    })
+                    .collect()
+            }
+            ModelKind::Histogram => {
+                let lo = xs.iter().copied().fold(f64::INFINITY, f64::min);
+                let hi = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                if hi <= lo {
+                    return Vec::new();
+                }
+                let bins = 20usize;
+                let width = (hi - lo) / bins as f64;
+                let mut counts = vec![0usize; bins];
+                for &x in &xs {
+                    let b = (((x - lo) / width) as usize).min(bins - 1);
+                    counts[b] += 1;
+                }
+                let min_count = (xs.len() as f64 / (tightness * tightness).max(1.0) / bins as f64)
+                    .max(1.0) as usize;
+                (0..t.n_rows())
+                    .filter(|&r| {
+                        t.cell(r, col).as_f64().is_some_and(|x| {
+                            let b = (((x - lo) / width) as usize).min(bins - 1);
+                            counts[b] < min_count
+                        })
+                    })
+                    .collect()
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rein_data::{ColumnMeta, ColumnType, Schema, Value};
+    use crate::testutil::mixed_table;
+    use proptest::prelude::*;
+    use rein_data::{ColumnMeta, ColumnType, Schema};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Models built once per column flag the same rows as models
+        /// rebuilt per trial, for every model and a spread of tightnesses
+        /// drawn in any order, the mixture's lazy fit included.
+        #[test]
+        fn column_models_flag_the_reference_rows(seed in 0u64..1_000_000) {
+            let t = mixed_table(seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            for col in 0..t.n_cols() {
+                let mut models = ColumnModels::new(&t, col);
+                for _ in 0..12 {
+                    let kind = [ModelKind::Gaussian, ModelKind::Mixture, ModelKind::Histogram]
+                        [rng.random_range(0..3usize)];
+                    let tightness = rng.random_range(0.5..7.0);
+                    let got: Vec<usize> = models.flagged(kind, tightness).collect();
+                    let want = reference::flags_for(&t, col, kind, tightness);
+                    prop_assert_eq!(got, want, "col {} {:?} {}", col, kind, tightness);
+                }
+            }
+        }
+    }
 
     fn table() -> Table {
         let schema = Schema::new(vec![ColumnMeta::new("x", ColumnType::Float)]);

@@ -1,9 +1,7 @@
 //! Shared per-cell feature extraction for the ML-supported detectors
 //! (metadata-driven, RAHA, ED2, Picket).
 
-use std::collections::BTreeMap;
-
-use rein_constraints::pattern::{value_pattern, ValuePattern};
+use rein_constraints::pattern::{push_pattern, Tally};
 use rein_data::Table;
 use rein_stats::descriptive;
 
@@ -16,37 +14,47 @@ pub const N_CONTENT_FEATURES: usize = 7;
 /// pattern frequency, normalised length, |z|-score, null flag, type
 /// mismatch flag and row null fraction.
 pub struct CellFeaturizer {
-    value_freq: Vec<BTreeMap<String, f64>>,
-    pattern_freq: Vec<BTreeMap<ValuePattern, f64>>,
+    /// Per cell, row-major: its value frequency, pattern frequency and
+    /// normalised length, the features that read its display text.
+    rendered: Vec<[f64; 3]>,
+    n_cols: usize,
     col_stats: Vec<Option<(f64, f64)>>,
     majority_numeric: Vec<bool>,
     row_null_frac: Vec<f64>,
-    max_len: f64,
 }
 
 impl CellFeaturizer {
-    /// Profiles a table.
+    /// Profiles a table. Each cell renders once, into its display text
+    /// ([`rein_data::Value::key_into`], the value's key): its value
+    /// frequency, pattern frequency and length come from that one
+    /// rendering, and a key or pattern is copied only the first time its
+    /// column sees it.
     pub fn fit(t: &Table) -> Self {
         let _span = rein_telemetry::span("detect:features:fit");
-        let n = t.n_rows();
-        let mut value_freq = Vec::with_capacity(t.n_cols());
-        let mut pattern_freq = Vec::with_capacity(t.n_cols());
-        let mut col_stats = Vec::with_capacity(t.n_cols());
-        let mut majority_numeric = Vec::with_capacity(t.n_cols());
+        let (n, d) = (t.n_rows(), t.n_cols());
+        let mut rendered = vec![[0.0; 3]; n * d];
+        let mut col_stats = Vec::with_capacity(d);
+        let mut majority_numeric = Vec::with_capacity(d);
         let mut max_len = 1.0f64;
-        for c in 0..t.n_cols() {
-            let mut vf: BTreeMap<String, f64> = BTreeMap::new();
-            let mut pf: BTreeMap<ValuePattern, f64> = BTreeMap::new();
-            for v in t.column(c) {
-                *vf.entry(v.as_key().into_owned()).or_insert(0.0) += 1.0;
-                *pf.entry(value_pattern(v)).or_insert(0.0) += 1.0;
-                max_len = max_len.max(v.to_string().len() as f64);
+        let (mut key, mut pattern) = (String::new(), String::new());
+        let mut slots: Vec<(usize, usize)> = Vec::with_capacity(n);
+        for c in 0..d {
+            let (mut keys, mut patterns) = (Tally::default(), Tally::default());
+            slots.clear();
+            for (r, v) in t.column(c).iter().enumerate() {
+                let text = v.key_into(&mut key);
+                max_len = max_len.max(text.len() as f64);
+                rendered[r * d + c][2] = text.len() as f64;
+                pattern.clear();
+                push_pattern(text, &mut pattern);
+                slots.push((keys.add(text), patterns.add(&pattern)));
             }
             let denom = n.max(1) as f64;
-            vf.values_mut().for_each(|x| *x /= denom);
-            pf.values_mut().for_each(|x| *x /= denom);
-            value_freq.push(vf);
-            pattern_freq.push(pf);
+            for (r, &(k, p)) in slots.iter().enumerate() {
+                let cell = &mut rendered[r * d + c];
+                cell[0] = keys.count(k) as f64 / denom;
+                cell[1] = patterns.count(p) as f64 / denom;
+            }
             let xs = t.numeric_values(c);
             if xs.len() * 2 >= n.max(1) && xs.len() >= 2 {
                 // Robust location/scale (median, IQR) so a single gross
@@ -60,23 +68,20 @@ impl CellFeaturizer {
                 majority_numeric.push(false);
             }
         }
+        for cell in &mut rendered {
+            cell[2] /= max_len;
+        }
         let row_null_frac = (0..n)
-            .map(|r| {
-                (0..t.n_cols()).filter(|&c| t.cell(r, c).is_null()).count() as f64
-                    / t.n_cols().max(1) as f64
-            })
+            .map(|r| (0..d).filter(|&c| t.cell(r, c).is_null()).count() as f64 / d.max(1) as f64)
             .collect();
-        Self { value_freq, pattern_freq, col_stats, majority_numeric, row_null_frac, max_len }
+        Self { rendered, n_cols: d, col_stats, majority_numeric, row_null_frac }
     }
 
-    /// Features of cell `(row, col)` of `t`, written into `out`
-    /// (length [`N_CONTENT_FEATURES`]).
+    /// Features of cell `(row, col)` of the fitted table `t`, written into
+    /// `out` (length [`N_CONTENT_FEATURES`]).
     pub fn features_into(&self, t: &Table, row: usize, col: usize, out: &mut [f64]) {
         let v = t.cell(row, col);
-        let key = v.as_key();
-        out[0] = self.value_freq[col].get(key.as_ref()).copied().unwrap_or(0.0);
-        out[1] = self.pattern_freq[col].get(&value_pattern(v)).copied().unwrap_or(0.0);
-        out[2] = v.to_string().len() as f64 / self.max_len;
+        out[..3].copy_from_slice(&self.rendered[row * self.n_cols + col]);
         out[3] = match (self.col_stats[col], v.as_f64()) {
             (Some((mean, std)), Some(x)) => ((x - mean).abs() / std).min(10.0) / 10.0,
             (Some(_), None) => 1.0, // numeric column, non-numeric cell
@@ -106,10 +111,90 @@ pub fn detector_features(
     pool.iter().map(|d| d.detect(ctx)).collect()
 }
 
+/// The featurizer as it was before each cell rendered once: a display
+/// clone per cell for its key, its pattern and its length in `fit`, and
+/// again in every `features_into`. The kept features must match it bit
+/// for bit.
+#[cfg(test)]
+mod reference {
+    use std::collections::BTreeMap;
+
+    use rein_constraints::pattern::{pattern_of, ValuePattern};
+    use rein_data::{Table, Value};
+
+    pub(super) struct Rendered {
+        value_freq: Vec<BTreeMap<String, f64>>,
+        pattern_freq: Vec<BTreeMap<ValuePattern, f64>>,
+        max_len: f64,
+    }
+
+    fn value_pattern(v: &Value) -> ValuePattern {
+        pattern_of(&v.to_string())
+    }
+
+    impl Rendered {
+        pub(super) fn fit(t: &Table) -> Self {
+            let n = t.n_rows();
+            let mut value_freq = Vec::with_capacity(t.n_cols());
+            let mut pattern_freq = Vec::with_capacity(t.n_cols());
+            let mut max_len = 1.0f64;
+            for c in 0..t.n_cols() {
+                let mut vf: BTreeMap<String, f64> = BTreeMap::new();
+                let mut pf: BTreeMap<ValuePattern, f64> = BTreeMap::new();
+                for v in t.column(c) {
+                    *vf.entry(v.as_key().into_owned()).or_insert(0.0) += 1.0;
+                    *pf.entry(value_pattern(v)).or_insert(0.0) += 1.0;
+                    max_len = max_len.max(v.to_string().len() as f64);
+                }
+                let denom = n.max(1) as f64;
+                vf.values_mut().for_each(|x| *x /= denom);
+                pf.values_mut().for_each(|x| *x /= denom);
+                value_freq.push(vf);
+                pattern_freq.push(pf);
+            }
+            Self { value_freq, pattern_freq, max_len }
+        }
+
+        /// Content features 0–2 of cell `(row, col)`.
+        pub(super) fn features(&self, t: &Table, row: usize, col: usize) -> [f64; 3] {
+            let v = t.cell(row, col);
+            let key = v.as_key();
+            [
+                self.value_freq[col].get(key.as_ref()).copied().unwrap_or(0.0),
+                self.pattern_freq[col].get(&value_pattern(v)).copied().unwrap_or(0.0),
+                v.to_string().len() as f64 / self.max_len,
+            ]
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::mixed_table;
+    use proptest::prelude::*;
     use rein_data::{ColumnMeta, ColumnType, Schema, Value};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Rendering each cell once in `fit` gives every cell the same
+        /// content-feature bits as rendering it in `fit` and again per
+        /// feature query.
+        #[test]
+        fn rendered_features_match_the_reference(seed in 0u64..1_000_000) {
+            let t = mixed_table(seed);
+            let (fitted, want) = (CellFeaturizer::fit(&t), reference::Rendered::fit(&t));
+            let mut out = [0.0; N_CONTENT_FEATURES];
+            for r in 0..t.n_rows() {
+                for c in 0..t.n_cols() {
+                    fitted.features_into(&t, r, c, &mut out);
+                    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(&out[..3]), bits(&want.features(&t, r, c)), "({}, {})", r, c);
+                }
+            }
+        }
+    }
 
     fn table() -> Table {
         let schema = Schema::new(vec![

@@ -29,6 +29,8 @@ pub mod openrefine;
 pub mod picket;
 pub mod raha;
 pub mod simple;
+#[cfg(test)]
+mod testutil;
 
 pub use context::{DetectContext, Detector, KnowledgeBase, Oracle};
 

@@ -8,7 +8,9 @@
 use rein_data::{CellMask, ColumnType};
 use rein_ml::encode::{regression_target, select_matrix_rows_without, Encoder, LabelMap};
 use rein_ml::model::{Classifier, Regressor};
-use rein_ml::tree::{DecisionTreeClassifier, DecisionTreeRegressor, TreeParams};
+use rein_ml::tree::{
+    ColumnOrders, DecisionTreeClassifier, DecisionTreeRegressor, Subset, TreeParams,
+};
 
 use crate::context::{DetectContext, Detector};
 
@@ -42,25 +44,30 @@ impl Detector for Picket {
             return mask;
         }
         // Each column is reconstructed from the encoding of the others:
-        // the table's encoding without the column's block.
+        // the table's encoding without the column's block. Its columns
+        // are sorted once, and each target's fit takes its presort from
+        // them.
         let all: Vec<usize> = (0..t.n_cols()).collect();
         let encoder = Encoder::fit(t, &all);
         let x = encoder.transform(t);
+        let orders = ColumnOrders::new(&x);
         for target_col in 0..t.n_cols() {
-            let others =
-                |rows: &[usize]| select_matrix_rows_without(&x, rows, encoder.block(target_col));
+            let others = |rows: &[usize]| {
+                let block = encoder.block(target_col);
+                (select_matrix_rows_without(&x, rows, block.clone()), block)
+            };
             match t.observed_type(target_col) {
                 ColumnType::Int | ColumnType::Float => {
                     let (rows, y) = regression_target(t, target_col);
                     if rows.len() < 10 {
                         continue;
                     }
-                    let xs = others(&rows);
+                    let (xs, drop) = others(&rows);
                     let mut model = DecisionTreeRegressor::new(TreeParams {
                         max_depth: 6,
                         ..Default::default()
                     });
-                    model.fit(&xs, &y);
+                    model.fit_subset(&xs, &y, &Subset { orders: &orders, rows: &rows, drop });
                     let preds = model.predict(&xs);
                     let residuals: Vec<f64> = y.iter().zip(&preds).map(|(t, p)| t - p).collect();
                     let mean = residuals.iter().sum::<f64>() / residuals.len() as f64;
@@ -92,12 +99,13 @@ impl Detector for Picket {
                     if rows.len() < 10 {
                         continue;
                     }
-                    let xs = others(&rows);
+                    let (xs, drop) = others(&rows);
                     let mut model = DecisionTreeClassifier::new(TreeParams {
                         max_depth: 6,
                         ..Default::default()
                     });
-                    model.fit(&xs, &y, labels.n_classes());
+                    let subset = Subset { orders: &orders, rows: &rows, drop };
+                    model.fit_subset(&xs, &y, labels.n_classes(), &subset);
                     let probs = model.predict_proba(&xs, labels.n_classes());
                     for (local, &row) in rows.iter().enumerate() {
                         let given = y[local];

@@ -7,8 +7,7 @@
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use rein_constraints::fd;
-use rein_constraints::pattern;
+use rein_constraints::{fd, ColumnPatterns};
 use rein_data::{CellMask, CellRef, Table};
 use rein_stats::descriptive;
 
@@ -78,9 +77,10 @@ fn column_strategy_verdicts(t: &Table, col: usize, fds: &[fd::FunctionalDependen
         strategy += 1;
     }
 
-    // Pattern strategies at two supports.
+    // Pattern strategies at two supports, over one profile.
+    let patterns = ColumnPatterns::of_column(t, col);
     for support in [0.7, 0.9] {
-        let rows = pattern::pattern_outliers(t, col, support);
+        let rows = patterns.outliers(support);
         mark(&mut verdicts, &rows, strategy);
         strategy += 1;
     }

@@ -255,13 +255,19 @@ impl std::fmt::Display for StrategyFailure {
 }
 
 /// What [`run`] hands back: the strategy's output or its failure, plus
-/// timing and the attempt count.
+/// timing, the ticks spent and the attempt count.
 #[derive(Debug)]
 pub struct GuardReport<T> {
     /// The output, or the structured failure after all attempts.
     pub outcome: Result<T, StrategyFailure>,
     /// Wall-clock time across all attempts (from the telemetry span).
     pub elapsed: Duration,
+    /// Budget ticks debited across all attempts, the mandatory tick of
+    /// each attempt included: a deterministic cost, where `elapsed` is a
+    /// measured one. A nested parallel stage that runs on fresh workers
+    /// (one started by a guard outside any stage; see [`budget`]) debits
+    /// nothing here.
+    pub ticks: u64,
     /// Attempts made.
     pub attempts: u32,
 }
@@ -377,6 +383,7 @@ pub fn run<T>(
     };
     let max_attempts = policy.retries.saturating_add(1).max(1);
     let mut attempts = 0u32;
+    let mut ticks = 0u64;
     let failure_cause: FailureCause;
     loop {
         let attempt_seed = match attempts {
@@ -387,7 +394,7 @@ pub fn run<T>(
         let caught = {
             let _budget_scope = budget::install(budget);
             let _silence = HookSilence::engage();
-            catch_unwind(AssertUnwindSafe(|| {
+            let caught = catch_unwind(AssertUnwindSafe(|| {
                 // One mandatory tick so stall injection (zero allowance)
                 // trips even for kernels without checkpoints.
                 checkpoint(1);
@@ -410,7 +417,10 @@ pub fn run<T>(
                     corrupt(&mut output);
                 }
                 output
-            }))
+            }));
+            // An exhausting checkpoint stores its spend before it unwinds.
+            ticks = ticks.saturating_add(current_budget().map_or(0, |(spent, _)| spent));
+            caught
         };
         match caught {
             Ok(output) => match validate(&output) {
@@ -419,7 +429,7 @@ pub fn run<T>(
                         rein_telemetry::counter("guard_retries").add(attempts as u64 - 1);
                     }
                     let elapsed = span.finish();
-                    return GuardReport { outcome: Ok(output), elapsed, attempts };
+                    return GuardReport { outcome: Ok(output), elapsed, ticks, attempts };
                 }
                 Err(message) => {
                     failure_cause = FailureCause::InvalidOutput { message };
@@ -459,7 +469,7 @@ pub fn run<T>(
         trace_id,
     };
     failure.record();
-    GuardReport { outcome: Err(failure), elapsed, attempts }
+    GuardReport { outcome: Err(failure), elapsed, ticks, attempts }
 }
 
 #[cfg(test)]
@@ -482,6 +492,46 @@ mod tests {
         let report = run(&s, &GuardPolicy::default(), |seed| seed * 2, no_validate, no_corrupt);
         assert_eq!(report.outcome.unwrap(), 18);
         assert_eq!(report.attempts, 1);
+    }
+
+    #[test]
+    fn ticks_are_reported_on_every_call() {
+        let s = spec(Phase::Detect, "ticker");
+        let policy = GuardPolicy::default();
+        // Each attempt pays the mandatory tick on top of the kernel's.
+        let report = run(&s, &policy, |_| checkpoint(5), no_validate, no_corrupt);
+        assert_eq!((report.ticks, report.attempts), (6, 1));
+        let report = run(&s, &policy, |_| -> u32 { panic!("late") }, no_validate, no_corrupt);
+        assert!(report.outcome.is_err());
+        assert_eq!(report.ticks, 1);
+        // A retry's ticks add to the first attempt's.
+        let mut calls = 0;
+        let report = run(
+            &s,
+            &GuardPolicy { retries: 1, ..policy.clone() },
+            |_| {
+                calls += 1;
+                checkpoint(10);
+                if calls == 1 {
+                    transient_failure("blip");
+                }
+            },
+            no_validate,
+            no_corrupt,
+        );
+        assert_eq!((report.ticks, report.attempts), (22, 2));
+        // An exhausted budget reports the spend that tripped it.
+        let tight = GuardPolicy { budget_override: Some(10), ..policy };
+        let report = run(
+            &s,
+            &tight,
+            |_| loop {
+                checkpoint(7)
+            },
+            no_validate,
+            no_corrupt::<u32>,
+        );
+        assert_eq!(report.ticks, 15);
     }
 
     #[test]

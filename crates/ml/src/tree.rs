@@ -2,6 +2,8 @@
 //! variance reduction), with optional per-node feature subsampling so the
 //! same machinery drives random forests.
 
+use std::ops::Range;
+
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -237,6 +239,78 @@ fn scan<'s>(
     }
 }
 
+/// A matrix's columns, each sorted once by (`total_cmp`, row), for fits
+/// over subsets of its rows and columns ([`Subset`]). Only the columns a
+/// split scans in sorted order ([`Shape::General`] over every row) are
+/// sorted: a constant or two-valued column stays so on every subset of
+/// its rows, so no fit ever asks for their order.
+pub struct ColumnOrders {
+    /// Per column, its (value, row) pairs in sorted order; empty for a
+    /// column that is not general.
+    orders: Vec<Vec<(f64, usize)>>,
+    rows: usize,
+}
+
+impl ColumnOrders {
+    /// Sorts the general columns of `x`.
+    pub fn new(x: &Matrix) -> Self {
+        let rows: Vec<usize> = (0..x.rows()).collect();
+        let mut orders = vec![Vec::new(); x.cols()];
+        if !rows.is_empty() {
+            for (f, order) in orders.iter_mut().enumerate() {
+                if let Shape::General = shape(x, &rows, f) {
+                    sort_by_value(x, &rows, f, order);
+                }
+            }
+        }
+        ColumnOrders { orders, rows: x.rows() }
+    }
+}
+
+/// What a fit's matrix holds of a larger matrix `x`:
+/// `select_matrix_rows_without(x, rows, drop)`, with `x`'s
+/// [`ColumnOrders`]. A full-feature fit over it
+/// ([`DecisionTreeRegressor::fit_subset`],
+/// [`DecisionTreeClassifier::fit_subset`]) takes each general feature's
+/// presort from `x`'s order, restricted to `rows` and renumbered, instead
+/// of sorting it. `rows` must be ascending: the restricted order is then
+/// sorted by (`total_cmp`, local row), exactly the order a fresh sort
+/// gives, so the fit grows the same tree as a plain one on the subset.
+pub struct Subset<'a> {
+    /// `x`'s column orders.
+    pub orders: &'a ColumnOrders,
+    /// Rows of `x` the fit's matrix holds, ascending.
+    pub rows: &'a [usize],
+    /// Columns of `x` the fit's matrix drops.
+    pub drop: Range<usize>,
+}
+
+impl Subset<'_> {
+    /// Checks that `xs` can be this subset of its matrix.
+    fn check(&self, xs: &Matrix) {
+        assert_eq!(xs.rows(), self.rows.len(), "subset rows");
+        assert_eq!(xs.cols() + self.drop.len(), self.orders.orders.len(), "subset columns");
+        assert!(self.rows.windows(2).all(|w| w[0] < w[1]), "subset rows must ascend");
+    }
+
+    /// Fills `order` with feature `f` of the fit's matrix in sorted order:
+    /// its column's order in `x`, keeping the rows in the subset, each
+    /// renumbered through `local` (row of `x` → row of the fit).
+    fn restrict(&self, f: usize, local: &[usize], order: &mut Vec<(f64, usize)>) {
+        let col = if f < self.drop.start { f } else { f + self.drop.len() };
+        order.clear();
+        order.extend(
+            self.orders.orders[col]
+                .iter()
+                .filter(|&&(_, r)| local[r] != NO_SLOT)
+                .map(|&(v, r)| (v, local[r])),
+        );
+        // A general feature of the subset is general in `x`, so its
+        // column was sorted there.
+        assert_eq!(order.len(), self.rows.len(), "feature {f} has no order in the full matrix");
+    }
+}
+
 /// What a fit that scores every feature at every node works out once.
 struct Presorted {
     /// Each feature's shape over all rows of the fit.
@@ -251,12 +325,24 @@ struct Presorted {
 }
 
 impl Presorted {
-    fn new(x: &Matrix, rows: &[usize]) -> Self {
+    /// Classifies and orders every feature over `rows`, all rows of `x`:
+    /// sorted here, or restricted from `subset`'s orders.
+    fn new(x: &Matrix, rows: &[usize], subset: Option<&Subset<'_>>) -> Self {
         let shapes: Vec<Shape> = (0..x.cols()).map(|f| shape(x, rows, f)).collect();
+        let mut local = Vec::new();
+        if let Some(subset) = subset {
+            local = vec![NO_SLOT; subset.orders.rows];
+            for (i, &r) in subset.rows.iter().enumerate() {
+                local[r] = i;
+            }
+        }
         let mut orders = vec![Vec::new(); x.cols()];
         for (f, order) in orders.iter_mut().enumerate() {
             if let Shape::General = shapes[f] {
-                sort_by_value(x, rows, f, order);
+                match subset {
+                    Some(subset) => subset.restrict(f, &local, order),
+                    None => sort_by_value(x, rows, f, order),
+                }
             }
         }
         Presorted { shapes, orders, goes_left: vec![false; x.rows()] }
@@ -310,20 +396,31 @@ struct Search {
     best: Option<(f64, f64, usize, f64)>,
 }
 
-fn build_tree(x: &Matrix, target: &Target<'_>, params: &TreeParams) -> Tree {
-    let mut grower = Grower::new(x, target, params);
+fn build_tree(
+    x: &Matrix,
+    target: &Target<'_>,
+    params: &TreeParams,
+    subset: Option<&Subset<'_>>,
+) -> Tree {
+    let mut grower = Grower::new(x, target, params, subset);
     grower.node(0, x.rows(), 0);
     Tree { nodes: grower.nodes }
 }
 
 impl<'a> Grower<'a> {
-    fn new(x: &'a Matrix, target: &'a Target<'a>, params: &'a TreeParams) -> Self {
+    fn new(
+        x: &'a Matrix,
+        target: &'a Target<'a>,
+        params: &'a TreeParams,
+        subset: Option<&Subset<'_>>,
+    ) -> Self {
         let n_classes = match target {
             Target::Class { n_classes, .. } => *n_classes,
             Target::Reg { .. } => 0,
         };
         let rows: Vec<usize> = (0..x.rows()).collect();
-        let presorted = drawn_subset(params, x.cols()).is_none().then(|| Presorted::new(x, &rows));
+        let presorted =
+            drawn_subset(params, x.cols()).is_none().then(|| Presorted::new(x, &rows, subset));
         Grower {
             x,
             target,
@@ -703,10 +800,15 @@ impl DecisionTreeClassifier {
     pub fn proba_row(&self, xr: &[f64]) -> &[f64] {
         self.tree.as_ref().map_or(&[], |t| t.leaf_of(xr))
     }
-}
 
-impl Classifier for DecisionTreeClassifier {
-    fn fit(&mut self, x: &Matrix, y: &[usize], n_classes: usize) {
+    /// [`Classifier::fit`] on `x`, which holds `subset` of a larger
+    /// matrix; a full-feature fit takes its presort from `subset`.
+    pub fn fit_subset(&mut self, x: &Matrix, y: &[usize], n_classes: usize, subset: &Subset<'_>) {
+        subset.check(x);
+        self.fit_from(x, y, n_classes, Some(subset));
+    }
+
+    fn fit_from(&mut self, x: &Matrix, y: &[usize], n_classes: usize, subset: Option<&Subset<'_>>) {
         assert_eq!(x.rows(), y.len());
         self.n_classes = n_classes.max(1);
         if x.rows() == 0 {
@@ -714,7 +816,13 @@ impl Classifier for DecisionTreeClassifier {
             return;
         }
         let target = Target::Class { y, n_classes: self.n_classes };
-        self.tree = Some(build_tree(x, &target, &self.params));
+        self.tree = Some(build_tree(x, &target, &self.params, subset));
+    }
+}
+
+impl Classifier for DecisionTreeClassifier {
+    fn fit(&mut self, x: &Matrix, y: &[usize], n_classes: usize) {
+        self.fit_from(x, y, n_classes, None);
     }
 
     fn predict(&self, x: &Matrix) -> Vec<usize> {
@@ -744,17 +852,28 @@ impl DecisionTreeRegressor {
     pub fn new(params: TreeParams) -> Self {
         Self { params, tree: None }
     }
-}
 
-impl Regressor for DecisionTreeRegressor {
-    fn fit(&mut self, x: &Matrix, y: &[f64]) {
+    /// [`Regressor::fit`] on `x`, which holds `subset` of a larger matrix;
+    /// a full-feature fit takes its presort from `subset`.
+    pub fn fit_subset(&mut self, x: &Matrix, y: &[f64], subset: &Subset<'_>) {
+        subset.check(x);
+        self.fit_from(x, y, Some(subset));
+    }
+
+    fn fit_from(&mut self, x: &Matrix, y: &[f64], subset: Option<&Subset<'_>>) {
         assert_eq!(x.rows(), y.len());
         if x.rows() == 0 {
             self.tree = Some(Tree { nodes: vec![Node::Leaf { value: vec![0.0] }] });
             return;
         }
         let target = Target::Reg { y };
-        self.tree = Some(build_tree(x, &target, &self.params));
+        self.tree = Some(build_tree(x, &target, &self.params, subset));
+    }
+}
+
+impl Regressor for DecisionTreeRegressor {
+    fn fit(&mut self, x: &Matrix, y: &[f64]) {
+        self.fit_from(x, y, None);
     }
 
     fn predict(&self, x: &Matrix) -> Vec<f64> {
@@ -1081,6 +1200,9 @@ mod tests {
         /// inner node's winning split (score, imbalance, feature and
         /// threshold bits) with the reference, which searches each node's
         /// rows afresh. No node may scan a feature constant over the fit.
+        /// Then fits a subset of the rows without a block of columns from
+        /// the whole matrix's column orders ([`Subset`]) and compares it
+        /// with the reference grown on that subset.
         #[test]
         fn kernel_grows_the_reference_tree(seed in 0u64..1_000_000, n in 1usize..40, d in 1usize..7) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -1113,7 +1235,7 @@ mod tests {
             for max_features in [every, drawn] {
                 let params = TreeParams { max_features, ..params.clone() };
                 for target in [Target::Class { y: &y, n_classes }, Target::Reg { y: &t }] {
-                    let mut grower = Grower::new(&x, &target, &params);
+                    let mut grower = Grower::new(&x, &target, &params, None);
                     // The path: presorted exactly when every node scores
                     // every feature, and only the general features.
                     prop_assert_eq!(grower.presorted.is_some(), max_features == every);
@@ -1148,6 +1270,55 @@ mod tests {
                     }
                 }
             }
+
+            // The restricted entry point: a full-feature fit over a random
+            // ascending subset of the rows, with a block of columns
+            // dropped, presorted from the whole matrix's column orders.
+            // Its presort must be the one a plain fit on the subset sorts,
+            // and it must grow that fit's tree, which is the reference's.
+            let orders = ColumnOrders::new(&x);
+            let rows: Vec<usize> = (0..n).filter(|_| rng.random_range(0..4usize) != 0).collect();
+            let start = rng.random_range(0..d + 1);
+            let drop = start..rng.random_range(start..d + 1);
+            let xs = crate::encode::select_matrix_rows_without(&x, &rows, drop.clone());
+            let subset = Subset { orders: &orders, rows: &rows, drop };
+            let params = TreeParams { max_features: every, ..params };
+            let (ys, ts): (Vec<usize>, Vec<f64>) = rows.iter().map(|&r| (y[r], t[r])).unzip();
+            for target in [Target::Class { y: &ys, n_classes }, Target::Reg { y: &ts }] {
+                if rows.is_empty() {
+                    break;
+                }
+                let restricted = Grower::new(&xs, &target, &params, Some(&subset));
+                let plain = Grower::new(&xs, &target, &params, None);
+                let order_bits = |g: &Grower<'_>| {
+                    g.presorted.as_ref().map(|fit| {
+                        fit.orders
+                            .iter()
+                            .map(|o| o.iter().map(|&(v, r)| (v.to_bits(), r)).collect::<Vec<_>>())
+                            .collect::<Vec<_>>()
+                    })
+                };
+                prop_assert_eq!(order_bits(&restricted), order_bits(&plain));
+                let mut grower = restricted;
+                grower.node(0, rows.len(), 0);
+                prop_assert_eq!(
+                    render(&Tree { nodes: grower.nodes }),
+                    render(&reference::build_tree(&xs, &target, &params))
+                );
+            }
+            let mut restricted = DecisionTreeRegressor::new(params.clone());
+            restricted.fit_subset(&xs, &ts, &subset);
+            let mut plain = DecisionTreeRegressor::new(params.clone());
+            plain.fit(&xs, &ts);
+            prop_assert_eq!(restricted.predict(&xs), plain.predict(&xs));
+            let mut restricted = DecisionTreeClassifier::new(params.clone());
+            restricted.fit_subset(&xs, &ys, n_classes, &subset);
+            let mut plain = DecisionTreeClassifier::new(params);
+            plain.fit(&xs, &ys, n_classes);
+            prop_assert_eq!(
+                restricted.predict_proba(&xs, n_classes),
+                plain.predict_proba(&xs, n_classes)
+            );
         }
     }
 
@@ -1159,7 +1330,7 @@ mod tests {
         let x = Matrix::from_rows(&[vec![lo], vec![lo], vec![hi], vec![hi]]);
         let params = TreeParams { min_samples_split: 2, min_samples_leaf: 1, ..Default::default() };
         let target = Target::Class { y: &[0, 0, 1, 1], n_classes: 2 };
-        let tree = build_tree(&x, &target, &params);
+        let tree = build_tree(&x, &target, &params, None);
         assert_eq!(render(&tree), render(&reference::build_tree(&x, &target, &params)));
         assert_eq!(tree.nodes.len(), 1);
     }

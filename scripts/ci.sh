@@ -13,6 +13,9 @@ REIN_THREADS=1 cargo test -q
 echo "==> cargo test -q (whole workspace via default-members, REIN_THREADS=4)"
 REIN_THREADS=4 cargo test -q
 
+echo "==> cargo test -q --release on the detection kernels (reference proptests in the optimized build the benchmark measures)"
+cargo test -q --release -p rein-constraints -p rein-detect -p rein-ml
+
 echo "==> benchmark package tests (its own workspace: a kernel change must not break its build)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml --bins
 

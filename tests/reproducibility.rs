@@ -90,6 +90,38 @@ fn picket_on_soccer_is_pinned() {
     assert_eq!(got, PINNED_SOCCER_PICKET, "picket on soccer: {got:#018x}");
 }
 
+/// FNV-1a-64 of [`render_mask`] for the rest of the detection scan's
+/// per-column kernels on the same Soccer table: dBoost's column models,
+/// the pattern rules of NADEEF and RAHA, the two ensembles whose base
+/// pools run both, and the content features ED2 and the metadata-driven
+/// detector learn from.
+const PINNED_SOCCER_SCAN: [(DetectorKind, u64); 7] = [
+    (DetectorKind::DBoost, 0xb89d_f7df_4416_1f67),
+    (DetectorKind::Nadeef, 0x0051_2ddf_08e5_7732),
+    (DetectorKind::Raha, 0xa2c2_5fcc_809f_0604),
+    (DetectorKind::MinK, 0x53dd_ee77_c46c_7da7),
+    (DetectorKind::MaxEntropy, 0x5dbf_4074_30ce_82e6),
+    (DetectorKind::Ed2, 0xebba_2b67_929e_5c6b),
+    (DetectorKind::MetadataDriven, 0x7426_100c_0f75_9705),
+];
+
+#[test]
+fn detection_scan_on_soccer_is_pinned() {
+    use rein_telemetry::fnv1a64;
+    let ds = DatasetId::Soccer.generate(&Params::scaled(0.003, 3));
+    let harness = DetectorHarness::new(&ds, 60, 42);
+    let render = |kind: DetectorKind, digest: u64| format!("{} {digest:#018x}", kind.name());
+    let got: Vec<String> = PINNED_SOCCER_SCAN
+        .iter()
+        .map(|&(kind, _)| {
+            render(kind, fnv1a64(render_mask(&harness.run(&ds, kind).mask).as_bytes()))
+        })
+        .collect();
+    let want: Vec<String> =
+        PINNED_SOCCER_SCAN.iter().map(|&(kind, digest)| render(kind, digest)).collect();
+    assert_eq!(got, want);
+}
+
 /// Repairers whose outputs are pinned across commits in [`PINNED_REPAIRS`].
 const PINNED_KINDS: [RepairKind; 6] = [
     RepairKind::Baran,
