@@ -7,11 +7,11 @@
 //! code passed into `spawn`/`par_iter().map(…)`/`scope` as traversable
 //! call edges. A closure counts as *parallel* when it is the argument
 //! of a parallel entry point (`spawn`, `scope`, `join`, `install`,
-//! `broadcast`), or the argument of an iterator adapter (`map`,
-//! `for_each`, `fold`, …) in a function that has already opened a
-//! parallel iterator (`par_iter`, `into_par_iter`, …). The *parallel
-//! region* is everything reachable from the member calls of parallel
-//! closures — over-approximate on purpose: a rule that fires on a
+//! `broadcast`, rein-guard's `fan_out`), or the argument of an iterator
+//! adapter (`map`, `for_each`, `fold`, …) in a function that has
+//! already opened a parallel iterator (`par_iter`, `into_par_iter`, …).
+//! The *parallel region* is everything reachable from the member calls
+//! of parallel closures — over-approximate on purpose: a rule that fires on a
 //! serial look-alike costs one `audit:allow`, a rule that misses a
 //! shared mutation costs a nondeterministic benchmark.
 //!
@@ -28,8 +28,10 @@ use crate::parser::{Callee, Closure, Function};
 use crate::semantic::{backward_slice, is_rng_construction, Sink, WorkspaceModel};
 
 /// Higher-order entry points whose closure argument runs on another
-/// worker thread.
-const PAR_ENTRY: [&str; 6] = ["spawn", "scope", "join", "install", "broadcast", "spawn_broadcast"];
+/// worker thread; `fan_out` is rein-guard's route for a fan-out inside a
+/// grid cell.
+const PAR_ENTRY: [&str; 7] =
+    ["spawn", "scope", "join", "install", "broadcast", "spawn_broadcast", "fan_out"];
 
 /// Calls that turn an iterator chain parallel. Shared with the
 /// dataflow module's `float-reduce-order` rule.

@@ -210,6 +210,29 @@ fn spawn_closure_resolves_across_files() {
 }
 
 #[test]
+fn fan_out_closures_are_parallel() {
+    // rein-guard's `fan_out` runs its closure on pool threads, so the
+    // seed and trace-context rules cover it like a `par_iter` chain.
+    let source = "\
+pub fn fit_all(items: Vec<u64>, seed: u64) -> Vec<u64> {
+    rein_guard::fan_out(items, |x| {
+        let _s = span(\"item\");
+        let mut rng = StdRng::seed_from_u64(seed);
+        step(&mut rng, x)
+    })
+}
+fn step(rng: &mut StdRng, x: u64) -> u64 {
+    x
+}
+";
+    let model =
+        WorkspaceModel::build(&[("crates/core/src/fixture.rs".to_string(), source.to_string())]);
+    let violations = analyze(&model).violations;
+    assert_eq!(of_rule(&violations, "trace-context").len(), 1, "got {violations:?}");
+    assert_eq!(of_rule(&violations, "par-seed-derivation").len(), 1, "got {violations:?}");
+}
+
+#[test]
 fn suppressions_work_on_concurrency_findings() {
     // An `audit:allow(par-shared-mutable, …)` on the offending line
     // silences the finding like any other rule.

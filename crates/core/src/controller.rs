@@ -587,6 +587,10 @@ impl<'a> Grid<'a> {
         need.retain(|&c| repairs.cells[c].run.is_none());
         need.sort_unstable();
         need.dedup();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a top-level stage of repair cells, each under its own guard"
+        )]
         let rehydrated: Vec<(usize, RepairRun)> = need
             .par_iter()
             .map(|&c| {
@@ -688,6 +692,10 @@ impl<'a> Grid<'a> {
         }
         let writer =
             self.store.map(|_| StoreWriter::with_shards(rayon::current_num_threads().max(1)));
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the grid's top-level stage: one item per cell, each under its own guard"
+        )]
         let computed: Vec<(usize, CellRecord<R>)> = misses
             .into_par_iter()
             .map(|(i, id)| {
@@ -731,8 +739,8 @@ impl<'a> Grid<'a> {
 
 /// Detectors whose detect cells emitted byte-equal masks, in plan order,
 /// and the mask's key component. A repair consumes only the mask: its
-/// seed derives from the repairer and its guard budget from the mask's
-/// cell count, so one repair cell can serve every member.
+/// seed derives from the repairer and its guard budget from the dirty
+/// table's size, so one repair cell can serve every member.
 struct MaskGroup<'d> {
     /// Each member's plan position and run.
     members: Vec<(usize, &'d DetectorRun)>,

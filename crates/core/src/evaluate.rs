@@ -10,7 +10,7 @@ use rein_data::{CellMask, Table};
 use rein_datasets::GeneratedDataset;
 use rein_detect::{DetectContext, DetectorKind, KnowledgeBase, Oracle};
 use rein_guard::{GuardPolicy, GuardSpec, Phase, StrategyFailure};
-use rein_ml::encode::{select_matrix_rows, Encoder, LabelMap};
+use rein_ml::encode::{regression_target_rows, Encoder, LabelMap};
 use rein_ml::model::{ClassifierKind, ClustererKind, RegressorKind};
 use rein_repair::{RepairContext, RepairKind, RepairOutcome, TrainedPipeline};
 use rein_stats::repair_quality::RmseReport;
@@ -280,6 +280,9 @@ pub struct RepairRun {
     pub pipeline: Option<TrainedPipeline>,
     /// Wall-clock runtime.
     pub runtime: Duration,
+    /// Guard ticks the repairer debited ([`rein_guard::GuardReport::ticks`]),
+    /// as [`DetectorRun::ticks`].
+    pub ticks: u64,
     /// The structured failure when the repairer degraded under guard.
     pub failure: Option<StrategyFailure>,
 }
@@ -300,7 +303,9 @@ pub fn run_repair(
 /// target a single grid cell; pass `""` outside the grid. A panicking or
 /// budget-exhausted repairer degrades to a no-op version (the dirty
 /// table, identity row map, zero repaired cells) with a populated
-/// [`RepairRun::failure`].
+/// [`RepairRun::failure`]. The budget is sized from the dirty table's
+/// rows × cols, as a detect or eval cell's is, whatever the mask flags:
+/// the imputers' work grows with the table, not the detections.
 pub fn run_repair_guarded(
     ds: &GeneratedDataset,
     detections: &CellMask,
@@ -314,7 +319,7 @@ pub fn run_repair_guarded(
         strategy: kind.name(),
         dataset: &ds.info.name,
         scope: detector_scope,
-        cells: detections.count() as u64,
+        cells: (ds.dirty.n_rows() * ds.dirty.n_cols()) as u64,
         seed,
     };
     let report = rein_guard::run(
@@ -361,7 +366,7 @@ pub fn run_repair_guarded(
     );
     rein_telemetry::counter("repair_applications").incr();
     rein_telemetry::histogram("repair_runtime").record(report.elapsed);
-    let runtime = report.elapsed;
+    let (runtime, ticks) = (report.elapsed, report.ticks);
     match report.outcome {
         Ok(RepairOutcome::Repaired { table, repaired_cells, row_map }) => {
             rein_telemetry::counter("cells_repaired").add(repaired_cells.count() as u64);
@@ -371,6 +376,7 @@ pub fn run_repair_guarded(
                 repaired_cells: Some(repaired_cells),
                 pipeline: None,
                 runtime,
+                ticks,
                 failure: None,
             }
         }
@@ -380,6 +386,7 @@ pub fn run_repair_guarded(
             repaired_cells: None,
             pipeline: Some(p),
             runtime,
+            ticks,
             failure: None,
         },
         Err(failure) => {
@@ -393,6 +400,7 @@ pub fn run_repair_guarded(
                 repaired_cells: Some(CellMask::new(rows, cols)),
                 pipeline: None,
                 runtime,
+                ticks,
                 failure: Some(failure),
             }
         }
@@ -438,17 +446,23 @@ pub fn repair_quality_numerical(
     Some((repaired, dirty))
 }
 
-/// Resolves the `(train, test)` tables for a scenario given the version
-/// under evaluation. Splitting happens in the clean-row space so train and
-/// test never share an underlying record even across versions; injected
-/// duplicate rows always go to the training side.
-pub fn scenario_split(
+/// One side of a scenario split: a source table and the rows of it the
+/// side reads.
+pub type SplitSide<'a> = (&'a Table, Vec<usize>);
+
+/// Resolves the `(train, test)` sides of a scenario given the version
+/// under evaluation, each as a source table (the ground truth or the
+/// version) and the rows of it that side reads, so no cell is copied.
+/// Splitting happens in the clean-row space so train and test never
+/// share an underlying record even across versions; injected duplicate
+/// rows always go to the training side.
+pub fn scenario_split<'a>(
     scenario: Scenario,
-    ds: &GeneratedDataset,
-    version: &VersionTable,
+    ds: &'a GeneratedDataset,
+    version: &'a VersionTable,
     test_fraction: f64,
     seed: u64,
-) -> (Table, Table) {
+) -> (SplitSide<'a>, SplitSide<'a>) {
     let n_clean = ds.clean.n_rows();
     let split = rein_data::split::train_test_indices(n_clean, test_fraction, seed);
     let in_test: Vec<bool> = {
@@ -458,16 +472,12 @@ pub fn scenario_split(
         }
         v
     };
-    let rows_of = |role: VersionRole, want_test: bool| -> Vec<usize> {
-        match role {
-            VersionRole::GroundTruth => {
-                if want_test {
-                    split.test.clone()
-                } else {
-                    split.train.clone()
-                }
-            }
-            VersionRole::Version => (0..version.table.n_rows())
+    let side = |role: VersionRole, want_test: bool| match role {
+        VersionRole::GroundTruth => {
+            (&ds.clean, if want_test { split.test.clone() } else { split.train.clone() })
+        }
+        VersionRole::Version => {
+            let rows = (0..version.table.n_rows())
                 .filter(|&r| {
                     let orig = version.row_map[r];
                     if orig >= n_clean {
@@ -476,19 +486,12 @@ pub fn scenario_split(
                         in_test[orig] == want_test
                     }
                 })
-                .collect(),
+                .collect();
+            (&version.table, rows)
         }
     };
     let (train_role, test_role) = scenario.roles();
-    let train = match train_role {
-        VersionRole::GroundTruth => ds.clean.select_rows(&rows_of(train_role, false)),
-        VersionRole::Version => version.table.select_rows(&rows_of(train_role, false)),
-    };
-    let test = match test_role {
-        VersionRole::GroundTruth => ds.clean.select_rows(&rows_of(test_role, true)),
-        VersionRole::Version => version.table.select_rows(&rows_of(test_role, true)),
-    };
-    (train, test)
+    (side(train_role, false), side(test_role, true))
 }
 
 /// Macro-F1 scores of a classifier over `repeats` seeded train/test splits
@@ -511,15 +514,16 @@ pub fn eval_classifier(
     (0..repeats)
         .map(|rep| {
             let seed = derive_seed(base_seed, rep as u64);
-            let (train, test) = scenario_split(scenario, ds, version, 0.25, seed);
-            let encoder = Encoder::fit(&train, &feature_cols);
-            let (tr_rows, tr_y) = labels.encode(&train, label_col);
-            let (te_rows, te_y) = labels.encode(&test, label_col);
+            let ((train, train_rows), (test, test_rows)) =
+                scenario_split(scenario, ds, version, 0.25, seed);
+            let encoder = Encoder::fit_rows(train, &train_rows, &feature_cols);
+            let (tr_rows, tr_y) = labels.encode_rows(train, &train_rows, label_col);
+            let (te_rows, te_y) = labels.encode_rows(test, &test_rows, label_col);
             if tr_rows.is_empty() || te_rows.is_empty() {
                 return f64::NAN;
             }
-            let xtr = select_matrix_rows(&encoder.transform(&train), &tr_rows);
-            let xte = select_matrix_rows(&encoder.transform(&test), &te_rows);
+            let xtr = encoder.transform_rows(train, &tr_rows);
+            let xte = encoder.transform_rows(test, &te_rows);
             let mut model = kind.build(seed);
             model.fit(&xtr, &tr_y, labels.n_classes());
             let preds = model.predict(&xte);
@@ -586,15 +590,16 @@ pub fn eval_regressor(
     (0..repeats)
         .map(|rep| {
             let seed = derive_seed(base_seed, rep as u64);
-            let (train, test) = scenario_split(scenario, ds, version, 0.25, seed);
-            let encoder = Encoder::fit(&train, &feature_cols);
-            let (tr_rows, tr_y) = rein_ml::encode::regression_target(&train, label_col);
-            let (te_rows, te_y) = rein_ml::encode::regression_target(&test, label_col);
+            let ((train, train_rows), (test, test_rows)) =
+                scenario_split(scenario, ds, version, 0.25, seed);
+            let encoder = Encoder::fit_rows(train, &train_rows, &feature_cols);
+            let (tr_rows, tr_y) = regression_target_rows(train, &train_rows, label_col);
+            let (te_rows, te_y) = regression_target_rows(test, &test_rows, label_col);
             if tr_rows.is_empty() || te_rows.is_empty() {
                 return f64::NAN;
             }
-            let xtr = select_matrix_rows(&encoder.transform(&train), &tr_rows);
-            let xte = select_matrix_rows(&encoder.transform(&test), &te_rows);
+            let xtr = encoder.transform_rows(train, &tr_rows);
+            let xte = encoder.transform_rows(test, &te_rows);
             let mut model = kind.build(seed);
             model.fit(&xtr, &tr_y);
             rein_ml::rmse(&te_y, &model.predict(&xte))
@@ -705,10 +710,10 @@ mod tests {
         let ds = small_beers();
         let version = VersionTable::identity(ds.dirty.clone());
         for scenario in [Scenario::S1, Scenario::S2, Scenario::S3, Scenario::S4] {
-            let (train, test) = scenario_split(scenario, &ds, &version, 0.25, 3);
-            assert!(train.n_rows() > 0 && test.n_rows() > 0, "{scenario:?}");
+            let ((_, train), (_, test)) = scenario_split(scenario, &ds, &version, 0.25, 3);
+            assert!(!train.is_empty() && !test.is_empty(), "{scenario:?}");
             // Train + test never exceed clean rows + duplicates.
-            assert!(train.n_rows() + test.n_rows() <= ds.dirty.n_rows().max(ds.clean.n_rows()) + 1);
+            assert!(train.len() + test.len() <= ds.dirty.n_rows().max(ds.clean.n_rows()) + 1);
         }
     }
 

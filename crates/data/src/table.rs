@@ -33,6 +33,20 @@ pub struct Table {
     n_rows: usize,
 }
 
+/// Distinct non-null values with their frequencies, most frequent first
+/// (ties broken by value order).
+fn count_values<'a>(values: impl IntoIterator<Item = &'a Value>) -> Vec<(Value, usize)> {
+    let mut map: std::collections::BTreeMap<&Value, usize> = std::collections::BTreeMap::new();
+    for v in values {
+        if !v.is_null() {
+            *map.entry(v).or_insert(0) += 1;
+        }
+    }
+    let mut out: Vec<(Value, usize)> = map.into_iter().map(|(v, n)| (v.clone(), n)).collect();
+    out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.total_cmp(&b.0)));
+    out
+}
+
 impl Table {
     /// Creates an empty table with the given schema.
     pub fn empty(schema: Schema) -> Self {
@@ -144,15 +158,13 @@ impl Table {
     /// Distinct values of column `col` with their frequencies, most frequent
     /// first (ties broken by value order for determinism). Nulls excluded.
     pub fn value_counts(&self, col: usize) -> Vec<(Value, usize)> {
-        let mut map: std::collections::BTreeMap<&Value, usize> = std::collections::BTreeMap::new();
-        for v in &self.columns[col] {
-            if !v.is_null() {
-                *map.entry(v).or_insert(0) += 1;
-            }
-        }
-        let mut out: Vec<(Value, usize)> = map.into_iter().map(|(v, n)| (v.clone(), n)).collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.total_cmp(&b.0)));
-        out
+        count_values(&self.columns[col])
+    }
+
+    /// [`Table::value_counts`] over the cells of column `col` in `rows`
+    /// only.
+    pub fn value_counts_in(&self, rows: &[usize], col: usize) -> Vec<(Value, usize)> {
+        count_values(rows.iter().map(|&r| &self.columns[col][r]))
     }
 
     /// The most frequent non-null value of column `col` (the mode).

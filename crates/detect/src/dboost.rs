@@ -223,6 +223,8 @@ impl Detector for DBoost {
                     _ => ModelKind::Histogram,
                 };
                 let tightness = rng.random_range(1.2..6.0);
+                // Each trial scores every row of the column.
+                rein_guard::checkpoint(t.n_rows() as u64);
                 let flagged = models.flagged(kind, tightness).count();
                 let rate = flagged as f64 / t.n_rows().max(1) as f64;
                 // Score: distance of the flag rate to the expected outlier

@@ -46,21 +46,23 @@ impl Detector for Picket {
         // Each column is reconstructed from the encoding of the others:
         // the table's encoding without the column's block. Its columns
         // are sorted once, and each target's fit takes its presort from
-        // them.
+        // them. The targets fan out; each returns its flagged rows, and
+        // the mask is merged in column order.
         let all: Vec<usize> = (0..t.n_cols()).collect();
         let encoder = Encoder::fit(t, &all);
         let x = encoder.transform(t);
         let orders = ColumnOrders::new(&x);
-        for target_col in 0..t.n_cols() {
+        let flagged = rein_guard::fan_out(all, |target_col| {
             let others = |rows: &[usize]| {
                 let block = encoder.block(target_col);
                 (select_matrix_rows_without(&x, rows, block.clone()), block)
             };
+            let mut flagged = Vec::new();
             match t.observed_type(target_col) {
                 ColumnType::Int | ColumnType::Float => {
                     let (rows, y) = regression_target(t, target_col);
                     if rows.len() < 10 {
-                        continue;
+                        return flagged;
                     }
                     let (xs, drop) = others(&rows);
                     let mut model = DecisionTreeRegressor::new(TreeParams {
@@ -77,7 +79,7 @@ impl Detector for Picket {
                         .max(1e-9);
                     for (local, &row) in rows.iter().enumerate() {
                         if (residuals[local] - mean).abs() > self.residual_z * std {
-                            mask.set(row, target_col, true);
+                            flagged.push(row);
                         }
                     }
                     // Non-numeric cells in a numeric column fail
@@ -86,18 +88,18 @@ impl Detector for Picket {
                         rein_guard::checkpoint(1);
                         let v = t.cell(r, target_col);
                         if !v.is_null() && v.as_f64().is_none() {
-                            mask.set(r, target_col, true);
+                            flagged.push(r);
                         }
                     }
                 }
                 _ => {
                     let labels = LabelMap::fit([t], target_col);
                     if labels.n_classes() < 2 || labels.n_classes() > 50 {
-                        continue; // free text column: reconstruction hopeless
+                        return flagged; // free text column: reconstruction hopeless
                     }
                     let (rows, y) = labels.encode(t, target_col);
                     if rows.len() < 10 {
-                        continue;
+                        return flagged;
                     }
                     let (xs, drop) = others(&rows);
                     let mut model = DecisionTreeClassifier::new(TreeParams {
@@ -111,10 +113,16 @@ impl Detector for Picket {
                         let given = y[local];
                         let best = rein_ml::linalg::argmax(probs.row(local));
                         if best != given && probs[(local, best)] >= self.min_confidence {
-                            mask.set(row, target_col, true);
+                            flagged.push(row);
                         }
                     }
                 }
+            }
+            flagged
+        });
+        for (col, rows) in flagged.into_iter().enumerate() {
+            for row in rows {
+                mask.set(row, col, true);
             }
         }
         mask

@@ -11,15 +11,22 @@
 //! failure.
 //!
 //! The budget is cooperative by design: a kernel that never checkpoints
-//! cannot be interrupted (that is the price of determinism). A guarded
-//! attempt running as an item of a parallel stage (every grid cell)
-//! covers its nested fan-outs too: the vendored rayon runs a stage
-//! started inside a stage's item inline on that thread, so e.g. every
-//! tree of a forest fit debits this slot, at any pool width. Only a
-//! top-level fan-out started by a guard outside any stage runs on fresh
-//! workers that do not see the slot.
+//! cannot be interrupted (that is the price of determinism). A kernel
+//! that fans work out inside a guarded attempt (a forest's trees,
+//! Picket's per-column fits) goes through [`fan_out`], which carries the
+//! budget to whichever pool thread claims each item: every item runs
+//! under its own budget, equal to the cell's remaining allowance, and the
+//! join debits the items' ticks in item order. So a fan-out's ticks and
+//! failures are the same at every pool width, and the same whether its
+//! guard runs inside a parallel stage or outside one. A stage started
+//! any other way runs its items on threads that may not see the slot.
+//! Exhaustion stays byte-reproducible; the budget catches runaways and
+//! does not bound normal work (DESIGN §6e).
 
 use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+
+use rayon::prelude::*;
 
 use rein_data::rng::derive_seed;
 use rein_telemetry::fnv1a64;
@@ -108,14 +115,77 @@ pub fn checkpoint(cost: u64) {
             budget.spent = budget.spent.saturating_add(cost);
             slot.set(Some(budget));
             if budget.spent > budget.allowance {
-                #[expect(clippy::panic, reason = "exhaustion unwinds to the enclosing guard, which catches it and degrades the cell")]
-                std::panic::panic_any(BudgetExhausted {
-                    spent: budget.spent,
-                    allowance: budget.allowance,
-                });
+                exhausted(budget);
             }
         }
     });
+}
+
+/// Unwinds with `budget`'s spend and allowance.
+fn exhausted(budget: Budget) -> ! {
+    #[expect(
+        clippy::panic,
+        reason = "exhaustion unwinds to the enclosing guard, which catches it and degrades the cell"
+    )]
+    std::panic::panic_any(BudgetExhausted { spent: budget.spent, allowance: budget.allowance })
+}
+
+/// Runs `f` over `items` as one parallel stage on the pool and returns
+/// the results in item order: the one route for a fan-out inside a grid
+/// cell. Each item runs under its own budget, equal to the installed
+/// budget's remaining allowance, on whichever thread claims it, with the
+/// caller's panic-hook silence and under the caller's innermost span.
+/// The join then debits the items' ticks in item order and re-raises the
+/// lowest-index item's failure (an exhausted item as the installed
+/// budget's exhaustion), or trips if the ticks cross the allowance. Every
+/// item runs to its end or its own failure, so ticks and failures are the
+/// same at every pool width and on every thread. Outside a guard, items
+/// run without a budget and the lowest-index panic is re-raised.
+pub fn fan_out<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let cell = ACTIVE.with(|slot| slot.get());
+    let share = cell.map(|b| Budget::explicit(b.allowance.saturating_sub(b.spent)));
+    let silent = crate::in_guard();
+    let parent = rein_telemetry::current();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "fan_out is the one route for a fan-out inside a cell: it carries the budget to every item"
+    )]
+    let ran: Vec<(std::thread::Result<R>, u64)> = items
+        .into_par_iter()
+        .map(|item| {
+            let _share = share.map(install);
+            let _silence = silent.then(crate::HookSilence::engage);
+            let _parent = parent.map(rein_telemetry::adopt);
+            let out = catch_unwind(AssertUnwindSafe(|| f(item)));
+            (out, current_budget().map_or(0, |(spent, _)| spent))
+        })
+        .collect();
+    let mut failure = None;
+    let mut results = Vec::with_capacity(ran.len());
+    let mut spent = cell.map_or(0, |b| b.spent);
+    for (out, ticks) in ran {
+        spent = spent.saturating_add(ticks);
+        match out {
+            Ok(r) => results.push(r),
+            Err(payload) => {
+                failure.get_or_insert(payload);
+            }
+        }
+    }
+    let Some(mut budget) = cell else {
+        return match failure {
+            Some(payload) => resume_unwind(payload),
+            None => results,
+        };
+    };
+    budget.spent = spent;
+    ACTIVE.with(|slot| slot.set(Some(budget)));
+    match failure {
+        Some(payload) if payload.is::<BudgetExhausted>() => exhausted(budget),
+        Some(payload) => resume_unwind(payload),
+        None if budget.spent > budget.allowance => exhausted(budget),
+        None => results,
+    }
 }
 
 #[cfg(test)]
@@ -152,6 +222,75 @@ mod tests {
         }
         assert_eq!(current_budget(), Some((7, 100)));
         drop(outer);
+    }
+
+    /// Runs `op` with every parallel stage it starts on a `width`-wide
+    /// pool.
+    fn at_width<R>(width: usize, op: impl FnOnce() -> R) -> R {
+        rayon::ThreadPoolBuilder::new().num_threads(width).build().expect("pool").install(op)
+    }
+
+    #[test]
+    fn fan_out_debits_every_item_at_its_join() {
+        for width in [1, 2, 4] {
+            let scope = install(Budget::explicit(100));
+            checkpoint(10);
+            let cell = rein_telemetry::span("fan_out:cell");
+            let out = at_width(width, || {
+                fan_out((0..8u64).collect(), |i| {
+                    // Each item sees the cell's remaining allowance and
+                    // its innermost span.
+                    assert_eq!(current_budget(), Some((0, 90)));
+                    assert_eq!(rein_telemetry::current(), Some(cell.ctx()));
+                    checkpoint(i);
+                    i * 2
+                })
+            });
+            assert_eq!(out, (0..8).map(|i| i * 2).collect::<Vec<_>>(), "width {width}");
+            assert_eq!(current_budget(), Some((38, 100)), "width {width}");
+            assert_eq!(rein_telemetry::current(), Some(cell.ctx()), "width {width}");
+            drop((cell, scope));
+        }
+        // Outside a guard, items run without a budget.
+        assert_eq!(fan_out(vec![1, 2], |i| (i, current_budget())), vec![(1, None), (2, None)]);
+    }
+
+    #[test]
+    fn fan_out_fails_alike_at_every_width() {
+        let run = |width, allowance, item: fn(u64)| {
+            let scope = install(Budget::explicit(allowance));
+            let caught =
+                at_width(width, || std::panic::catch_unwind(|| fan_out((0..6u64).collect(), item)));
+            let failure = caught.expect_err("the fan-out fails");
+            let failure = match failure.downcast::<BudgetExhausted>() {
+                Ok(exhausted) => format!("{exhausted:?}"),
+                Err(other) => other.downcast::<String>().map_or("?".into(), |m| *m),
+            };
+            let left = current_budget();
+            drop(scope);
+            (failure, left)
+        };
+        for width in [1, 2, 4] {
+            // No item crosses 10 alone, but their sum does: the join trips.
+            assert_eq!(
+                run(width, 10, |_| checkpoint(3)),
+                ("BudgetExhausted { spent: 18, allowance: 10 }".into(), Some((18, 10)))
+            );
+            // Every item trips at its first checkpoint: item 0's failure,
+            // with every item's ticks.
+            assert_eq!(
+                run(width, 0, |i| checkpoint(i + 1)),
+                ("BudgetExhausted { spent: 21, allowance: 0 }".into(), Some((21, 0)))
+            );
+            // The lowest-index panic wins, whichever finished first.
+            let panics = |i: u64| {
+                checkpoint(1);
+                if i % 2 == 1 {
+                    panic!("item {i}");
+                }
+            };
+            assert_eq!(run(width, 100, panics), ("item 1".into(), Some((6, 100))));
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod budget;
 pub mod chaos;
 pub mod crash;
 
-pub use budget::{checkpoint, current_budget, Budget, BudgetExhausted};
+pub use budget::{checkpoint, current_budget, fan_out, Budget, BudgetExhausted};
 pub use chaos::{ChaosMode, ChaosRule, ChaosSpec};
 pub use crash::{CrashRule, CrashSpec, CrashWhen};
 
@@ -264,9 +264,9 @@ pub struct GuardReport<T> {
     pub elapsed: Duration,
     /// Budget ticks debited across all attempts, the mandatory tick of
     /// each attempt included: a deterministic cost, where `elapsed` is a
-    /// measured one. A nested parallel stage that runs on fresh workers
-    /// (one started by a guard outside any stage; see [`budget`]) debits
-    /// nothing here.
+    /// measured one. A fan-out's items debit here through [`fan_out`],
+    /// at any pool width; a stage started any other way may not (see
+    /// [`budget`]).
     pub ticks: u64,
     /// Attempts made.
     pub attempts: u32,
@@ -295,20 +295,27 @@ thread_local! {
     static IN_GUARD: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// Clears the in-guard flag on drop, including during unwind.
-struct HookSilence;
+/// Whether this thread is inside a guard's supervision window.
+pub(crate) fn in_guard() -> bool {
+    IN_GUARD.with(|g| g.get())
+}
+
+/// Restores the thread's previous in-guard flag on drop, including
+/// during unwind.
+pub(crate) struct HookSilence {
+    prev: bool,
+}
 
 impl HookSilence {
-    fn engage() -> Self {
+    pub(crate) fn engage() -> Self {
         install_chained_hook();
-        IN_GUARD.with(|g| g.set(true));
-        HookSilence
+        HookSilence { prev: IN_GUARD.with(|g| g.replace(true)) }
     }
 }
 
 impl Drop for HookSilence {
     fn drop(&mut self) {
-        IN_GUARD.with(|g| g.set(false));
+        IN_GUARD.with(|g| g.set(self.prev));
     }
 }
 

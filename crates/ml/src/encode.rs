@@ -51,13 +51,21 @@ impl Encoder {
     /// encode numerically, with the typo cells mean-imputed). Each
     /// column's plan depends on that column alone.
     pub fn fit(table: &Table, feature_cols: &[usize]) -> Self {
+        Self::fit_rows(table, &all_rows(table), feature_cols)
+    }
+
+    /// [`Encoder::fit`] on the given rows of `table` only: bit for bit
+    /// the encoder fitted on `table.select_rows(rows)`, without copying
+    /// a cell.
+    pub fn fit_rows(table: &Table, rows: &[usize], feature_cols: &[usize]) -> Self {
         let mut plans = Vec::with_capacity(feature_cols.len());
         for &c in feature_cols {
-            let non_null: Vec<&Value> = table.column(c).iter().filter(|v| !v.is_null()).collect();
-            let numeric = non_null.iter().filter(|v| v.as_f64().is_some()).count();
-            let is_numeric = !non_null.is_empty() && numeric * 2 >= non_null.len();
+            let cells = || rows.iter().map(|&r| table.cell(r, c)).filter(|v| !v.is_null());
+            let non_null = cells().count();
+            let numeric = cells().filter(|v| v.as_f64().is_some()).count();
+            let is_numeric = non_null > 0 && numeric * 2 >= non_null;
             if is_numeric {
-                let xs = table.numeric_values(c);
+                let xs: Vec<f64> = cells().filter_map(Value::as_f64).collect();
                 let mean =
                     if xs.is_empty() { 0.0 } else { xs.iter().sum::<f64>() / xs.len() as f64 };
                 let var = if xs.is_empty() {
@@ -68,7 +76,7 @@ impl Encoder {
                 plans.push(ColumnPlan::Numeric { mean, std: var.sqrt().max(1e-9) });
             } else {
                 let categories: Vec<String> = table
-                    .value_counts(c)
+                    .value_counts_in(rows, c)
                     .into_iter()
                     .take(MAX_ONE_HOT)
                     .map(|(v, _)| v.as_key().into_owned())
@@ -117,12 +125,23 @@ impl Encoder {
 
     /// Encodes a whole table into a feature matrix (one row per table row).
     pub fn transform(&self, table: &Table) -> Matrix {
-        let mut m = Matrix::zeros(table.n_rows(), self.width);
-        for r in 0..table.n_rows() {
-            self.encode_row(table, r, m.row_mut(r));
+        self.transform_rows(table, &all_rows(table))
+    }
+
+    /// Encodes the given rows of `table`, in order, into a feature matrix
+    /// (one row per entry of `rows`).
+    pub fn transform_rows(&self, table: &Table, rows: &[usize]) -> Matrix {
+        let mut m = Matrix::zeros(rows.len(), self.width);
+        for (i, &r) in rows.iter().enumerate() {
+            self.encode_row(table, r, m.row_mut(i));
         }
         m
     }
+}
+
+/// Every row index of `table`.
+fn all_rows(table: &Table) -> Vec<usize> {
+    (0..table.n_rows()).collect()
 }
 
 /// A fitted label map for classification targets.
@@ -172,30 +191,31 @@ impl LabelMap {
     /// Encodes the label column: `(row_indices_kept, class_ids)`; rows whose
     /// label is null or unknown are dropped.
     pub fn encode(&self, table: &Table, col: usize) -> (Vec<usize>, Vec<usize>) {
-        let mut rows = Vec::new();
-        let mut ys = Vec::new();
-        for r in 0..table.n_rows() {
-            if let Some(id) = self.id_of(table.cell(r, col)) {
-                rows.push(r);
-                ys.push(id);
-            }
-        }
-        (rows, ys)
+        self.encode_rows(table, &all_rows(table), col)
+    }
+
+    /// [`LabelMap::encode`] over the given rows of `table`: the kept
+    /// entries of `rows`, in order, with their class ids.
+    pub fn encode_rows(
+        &self,
+        table: &Table,
+        rows: &[usize],
+        col: usize,
+    ) -> (Vec<usize>, Vec<usize>) {
+        rows.iter().filter_map(|&r| Some((r, self.id_of(table.cell(r, col))?))).unzip()
     }
 }
 
 /// Extracts a regression target: `(row_indices_kept, values)`; rows with a
 /// non-numeric target are dropped.
 pub fn regression_target(table: &Table, col: usize) -> (Vec<usize>, Vec<f64>) {
-    let mut rows = Vec::new();
-    let mut ys = Vec::new();
-    for r in 0..table.n_rows() {
-        if let Some(y) = table.cell(r, col).as_f64() {
-            rows.push(r);
-            ys.push(y);
-        }
-    }
-    (rows, ys)
+    regression_target_rows(table, &all_rows(table), col)
+}
+
+/// [`regression_target`] over the given rows of `table`: the kept entries
+/// of `rows`, in order, with their values.
+pub fn regression_target_rows(table: &Table, rows: &[usize], col: usize) -> (Vec<usize>, Vec<f64>) {
+    rows.iter().filter_map(|&r| Some((r, table.cell(r, col).as_f64()?))).unzip()
 }
 
 /// Selects a subset of matrix rows (for aligning features with kept labels).
@@ -382,6 +402,34 @@ mod tests {
             let got = select_matrix_rows_without(&x, &rows, enc.block(c));
             assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()), "column {c}");
             assert_eq!(bits(&got), bits(&want), "column {c}");
+        }
+    }
+
+    #[test]
+    fn row_selections_encode_as_the_selected_table() {
+        let t = mixed_table();
+        let all: Vec<usize> = (0..t.n_cols()).collect();
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for rows in [vec![], vec![5], (0..60).step_by(3).collect(), vec![59, 2, 40, 7, 11, 33, 21]]
+        {
+            let sub = t.select_rows(&rows);
+            let want = Encoder::fit(&sub, &all);
+            let got = Encoder::fit_rows(&t, &rows, &all);
+            assert_eq!(bits(&got.transform_rows(&t, &rows)), bits(&want.transform(&sub)));
+            let of = |kept: &[usize]| kept.iter().map(|&i| rows[i]).collect::<Vec<_>>();
+            for col in all.iter().copied() {
+                let labels = LabelMap::fit([&t], col);
+                let (kept, ys) = labels.encode(&sub, col);
+                assert_eq!(labels.encode_rows(&t, &rows, col), (of(&kept), ys), "column {col}");
+                let (kept, ys) = regression_target(&sub, col);
+                let (got_rows, got_ys) = regression_target_rows(&t, &rows, col);
+                assert_eq!(got_rows, of(&kept), "column {col}");
+                assert_eq!(
+                    got_ys.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    ys.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "column {col}"
+                );
+            }
         }
     }
 

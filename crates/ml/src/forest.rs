@@ -1,7 +1,7 @@
 //! Random forests: bagged CART trees with √d feature subsampling, trained
-//! in parallel with rayon.
+//! in parallel through [`rein_guard::fan_out`], so a guarded fit's budget
+//! sees every tree on whichever pool thread grows it.
 
-use rayon::prelude::*;
 use rein_data::rng::derive_seed;
 use rein_data::split::bootstrap_indices;
 
@@ -59,19 +59,15 @@ impl Classifier for RandomForestClassifier {
         }
         let seed = self.seed;
         let params = &self.params;
-        self.trees = (0..params.n_trees)
-            .into_par_iter()
-            .map(|i| {
-                let boot =
-                    bootstrap_indices(x.rows(), x.rows(), derive_seed(seed, 10_000 + i as u64));
-                let xb = select_matrix_rows(x, &boot);
-                let yb: Vec<usize> = boot.iter().map(|&r| y[r]).collect();
-                let mut t =
-                    DecisionTreeClassifier::new(tree_params_for(x.cols(), &params.tree, seed, i));
-                t.fit(&xb, &yb, n_classes);
-                t
-            })
-            .collect();
+        self.trees = rein_guard::fan_out((0..params.n_trees).collect(), |i| {
+            let boot = bootstrap_indices(x.rows(), x.rows(), derive_seed(seed, 10_000 + i as u64));
+            let xb = select_matrix_rows(x, &boot);
+            let yb: Vec<usize> = boot.iter().map(|&r| y[r]).collect();
+            let mut t =
+                DecisionTreeClassifier::new(tree_params_for(x.cols(), &params.tree, seed, i));
+            t.fit(&xb, &yb, n_classes);
+            t
+        });
     }
 
     fn predict(&self, x: &Matrix) -> Vec<usize> {
@@ -123,19 +119,15 @@ impl Regressor for RandomForestRegressor {
         }
         let seed = self.seed;
         let params = &self.params;
-        self.trees = (0..params.n_trees)
-            .into_par_iter()
-            .map(|i| {
-                let boot =
-                    bootstrap_indices(x.rows(), x.rows(), derive_seed(seed, 20_000 + i as u64));
-                let xb = select_matrix_rows(x, &boot);
-                let yb: Vec<f64> = boot.iter().map(|&r| y[r]).collect();
-                let mut t =
-                    DecisionTreeRegressor::new(tree_params_for(x.cols(), &params.tree, seed, i));
-                t.fit(&xb, &yb);
-                t
-            })
-            .collect();
+        self.trees = rein_guard::fan_out((0..params.n_trees).collect(), |i| {
+            let boot = bootstrap_indices(x.rows(), x.rows(), derive_seed(seed, 20_000 + i as u64));
+            let xb = select_matrix_rows(x, &boot);
+            let yb: Vec<f64> = boot.iter().map(|&r| y[r]).collect();
+            let mut t =
+                DecisionTreeRegressor::new(tree_params_for(x.cols(), &params.tree, seed, i));
+            t.fit(&xb, &yb);
+            t
+        });
     }
 
     fn predict(&self, x: &Matrix) -> Vec<f64> {
@@ -216,7 +208,12 @@ mod tests {
 
     /// The guard's budget verdict on a forest fit run on each worker of
     /// a `width`-wide pool, with an allowance smaller than one fit.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a top-level stage of guarded cells, as the controller runs them"
+    )]
     fn guarded_fits(width: usize) -> Vec<rein_guard::FailureCause> {
+        use rayon::prelude::*;
         use rein_guard::{GuardPolicy, GuardSpec, Phase};
         let (x, y) = linear_regression_data(200, 0.5, 79);
         let policy = GuardPolicy { budget_override: Some(2_000), ..GuardPolicy::default() };
@@ -246,9 +243,10 @@ mod tests {
 
     #[test]
     fn budget_sees_every_tree_on_a_pool_worker() {
-        // The trees of a fit on a pool worker run inline on that worker,
-        // so the budget installed there debits each tree's checkpoints
-        // and trips at the same tick as on a one-wide pool.
+        // Each tree of a fit on a pool worker runs under the cell's
+        // remaining allowance on whichever thread claims it, and the
+        // fit's join debits every tree, so the budget trips with the
+        // same figures as on a one-wide pool.
         let serial = guarded_fits(1);
         assert!(
             matches!(serial[0], rein_guard::FailureCause::BudgetExhausted { allowance: 2_000, .. }),

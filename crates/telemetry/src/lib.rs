@@ -74,8 +74,8 @@ pub use metrics::{
     HistogramSummary,
 };
 pub use span::{
-    current, current_trace, drain_spans, instant, snapshot_spans, span, span_traced, span_under,
-    Span, SpanCtx, SpanRecord, TraceContext,
+    adopt, current, current_trace, drain_spans, instant, snapshot_spans, span, span_traced,
+    span_under, Adopted, Span, SpanCtx, SpanRecord, TraceContext,
 };
 pub use trace::{
     build_traces, cell_costs, chrome_trace_json, flamegraph_svg, CellCost, CellTrace, OrphanSpan,

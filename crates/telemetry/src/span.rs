@@ -253,6 +253,38 @@ pub fn current() -> Option<SpanCtx> {
     STACK.with(|s| s.borrow().last().copied())
 }
 
+/// Makes `ctx` this thread's innermost open span until the returned
+/// guard drops, without opening a span: the items of a fan-out that run
+/// on another thread open their spans under the span the fan-out
+/// started in, as the items that run on its own thread do.
+pub fn adopt(ctx: SpanCtx) -> Adopted {
+    STACK.with(|s| s.borrow_mut().push(ctx));
+    Adopted(ctx.id)
+}
+
+/// Guard of [`adopt`]; removes the adopted context on drop.
+#[derive(Debug)]
+pub struct Adopted(u64);
+
+impl Drop for Adopted {
+    fn drop(&mut self) {
+        remove_from_stack(self.0);
+    }
+}
+
+/// Removes the innermost entry for span `id` from this thread's stack.
+/// By id rather than blindly popping the top: a guard moved across
+/// threads or dropped out of order must not corrupt the stack of
+/// unrelated spans.
+fn remove_from_stack(id: u64) {
+    STACK.with(|s| {
+        let mut stack = s.borrow_mut();
+        if let Some(pos) = stack.iter().rposition(|c| c.id == id) {
+            stack.remove(pos);
+        }
+    });
+}
+
 /// An open span; records itself when dropped or [`finish`](Span::finish)ed.
 #[derive(Debug)]
 pub struct Span {
@@ -381,15 +413,7 @@ impl Span {
         }
         self.closed = true;
         let duration = self.start.elapsed();
-        // Pop by id rather than blindly popping the top: a guard moved
-        // across threads or dropped out of order must not corrupt the
-        // stack of unrelated spans.
-        STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            if let Some(pos) = stack.iter().rposition(|c| c.id == self.id) {
-                stack.remove(pos);
-            }
-        });
+        remove_from_stack(self.id);
         let record = SpanRecord {
             name: std::mem::take(&mut self.name),
             id: self.id,

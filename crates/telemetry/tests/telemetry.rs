@@ -68,6 +68,10 @@ fn finish_returns_the_duration_recorded() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "telemetry must survive a top-level rayon stage, as the grid runs one"
+)]
 fn counters_sum_correctly_under_rayon() {
     let parent = span("rayontest:fanout");
     let parent_ctx = Some(parent.ctx());
@@ -226,6 +230,10 @@ fn collected_manifest_sees_global_state() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "telemetry must survive a top-level rayon stage, as the grid runs one"
+)]
 fn registry_snapshot_matches_serial_sum_under_contention() {
     // Hammer one shared counter, a per-worker counter family, and one
     // shared histogram from rayon workers simultaneously; the merged

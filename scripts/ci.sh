@@ -97,6 +97,13 @@ for threads in 1 4; do
   REIN_SCALE=0.05 REIN_THREADS=$threads cargo run -q --release -p rein-bench --bin grid_smoke -- --mode crash
 done
 
+echo "==> grid smoke --mode parallel at the paper's size (REIN_SCALE=1: no fault-free cell may degrade)"
+# Exit 5 = a degraded cell. Guard budgets catch runaways and are sized
+# from each cell's input table, so a fault-free grid at the paper's size
+# must finish without one. It runs before the x0.05 smoke, which
+# rewrites the same parallel_smoke-31 manifest the trace step exports.
+REIN_SCALE=1 cargo run -q --release -p rein-bench --bin grid_smoke -- --mode parallel
+
 echo "==> grid smoke --mode parallel (S1-S5 grid byte-identity at 1/4/N threads, in-process; bytes pinned)"
 REIN_SCALE=0.05 cargo run -q --release -p rein-bench --bin grid_smoke -- --mode parallel \
   --dump-cells artifacts/chaos/cells-parallel.txt

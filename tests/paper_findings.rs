@@ -32,9 +32,9 @@ fn ml_detectors_cost_more_runtime_than_simple_ones() {
     // Paper: Figure 2c — ML-based methods require long execution times.
     // Runtime is judged by guard ticks, a deterministic cost, so a loaded
     // host cannot flip the comparison as it could with wall-clock time.
-    // The detection phase runs each detector as a grid cell, whose nested
-    // fan-outs (ED2's forest fits) debit the cell's ticks at any pool
-    // width; a guard called outside any stage would not see them.
+    // ED2's forest fits fan out through `rein_guard::fan_out`, which
+    // debits every tree to the cell at any pool width, whether the guard
+    // runs as a grid cell or outside any stage.
     let ds = DatasetId::SmartFactory.generate(&Params::scaled(0.05, 22));
     let runs =
         Controller { label_budget: 100, seed: 1, ..Controller::default() }.run_detection(&ds);
