@@ -1,14 +1,17 @@
 //! Workspace call graph: one node per parsed function, edges resolved
 //! by name with path-qualifier and impl-type heuristics, plus forward
-//! and reverse reachability.
+//! reachability.
 //!
-//! Resolution is deliberately an *over-approximation*: a method call
-//! resolves to every same-name function (this is how dynamic dispatch
-//! through `Box<dyn Detector>` stays visible), and an unqualified call
-//! prefers same-file, then same-crate, then any match. The region rules
-//! (the parallel region of §6g, the compute region of §6h) want exactly
-//! this direction of error: claiming slightly too much reachability,
-//! never too little, so no reachable read or mutation goes unchecked.
+//! Resolution leans toward *over-approximation*: a method call resolves
+//! to every same-name function (this is how dynamic dispatch through
+//! `Box<dyn Detector>` stays visible), an unqualified call prefers
+//! same-file, then same-crate, then any match, and a `rein_<crate>::`
+//! path matches that crate's same-name functions. The parallel region
+//! of §6g wants that direction of error: a spurious edge at worst costs
+//! an annotation. It is not a proof of "never too little": a call the
+//! parser does not see (inside a macro body, through a function pointer
+//! or a renamed import) has no edge, and code reached only that way is
+//! outside the region.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -133,6 +136,15 @@ impl CallGraph {
                             .collect();
                         return typed;
                     }
+                    if let Some(krate) = q_owned.strip_prefix("rein_") {
+                        // Crate-qualified (`rein_guard::checkpoint`): that
+                        // crate's same-name functions.
+                        return cands
+                            .iter()
+                            .copied()
+                            .filter(|&i| self.nodes[i].crate_name == krate)
+                            .collect();
+                    }
                     // Module-qualified: match the file stem, preferring
                     // the caller's crate.
                     let in_mod: Vec<usize> = cands
@@ -224,6 +236,18 @@ mod tests {
             .expect("run nodes");
         assert!(g.edges[b].contains(&detect_run), "prefers the caller's crate");
         assert_eq!(g.edges[b].len(), 1);
+    }
+
+    #[test]
+    fn crate_qualified_resolution() {
+        let (g, _) = graph(&[
+            ("crates/detect/src/dboost.rs", "pub fn detect() { rein_guard::checkpoint(1); }\n"),
+            ("crates/guard/src/budget.rs", "pub fn checkpoint(n: u64) {}\n"),
+            ("crates/ml/src/budget.rs", "pub fn checkpoint(n: u64) {}\n"),
+        ]);
+        let d = node(&g, "detect");
+        let targets: Vec<&str> = g.edges[d].iter().map(|&i| g.nodes[i].file.as_str()).collect();
+        assert_eq!(targets, ["crates/guard/src/budget.rs"], "the named crate's fn only");
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! Six blocking rules run over that region (catalog in DESIGN.md §6g,
 //! trace-context in §6i): `par-shared-mutable`, `par-seed-derivation`,
 //! `par-merge-registered`, `par-atomic-ordering`, `par-lock-discipline`
-//! and `trace-context`.
+//! and `trace-context`. A seventh, `float-reduce-order`, checks every
+//! library function for a float sum taken straight off a parallel
+//! iterator.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -33,9 +35,8 @@ use crate::semantic::{backward_slice, is_rng_construction, Sink, WorkspaceModel}
 const PAR_ENTRY: [&str; 7] =
     ["spawn", "scope", "join", "install", "broadcast", "spawn_broadcast", "fan_out"];
 
-/// Calls that turn an iterator chain parallel. Shared with the
-/// dataflow module's `float-reduce-order` rule.
-pub(crate) const PAR_MARKERS: [&str; 7] = [
+/// Calls that turn an iterator chain parallel.
+const PAR_MARKERS: [&str; 7] = [
     "par_iter",
     "into_par_iter",
     "par_iter_mut",
@@ -133,12 +134,13 @@ fn parallel_region(g: &CallGraph) -> ParRegion {
     ParRegion { sites, member }
 }
 
-/// Runs the six concurrency rules. Called from `semantic::analyze`.
+/// Runs the seven concurrency rules. Called from `semantic::analyze`.
 pub(crate) fn analyze_concurrency(model: &WorkspaceModel, g: &CallGraph, sink: &mut Sink) {
     let region = parallel_region(g);
     par_shared_mutable(model, g, &region, sink);
     par_seed_derivation(g, &region, sink);
     par_merge_registered(g, &region, sink);
+    float_reduce_order(g, sink);
     par_atomic_ordering(model, sink);
     par_lock_discipline(model, g, sink);
     trace_context(g, &region, sink);
@@ -377,6 +379,49 @@ fn par_merge_registered(g: &CallGraph, region: &ParRegion, sink: &mut Sink) {
                     ),
                 );
             }
+        }
+    }
+}
+
+// --------------------------------------------------- float-reduce-order
+
+/// `.sum()` / `.product()` downstream of a parallel marker in the same
+/// function, with no interposed `collect()` and no registered merge in
+/// the function. Float addition is not associative, so the reduction
+/// order, which rayon picks per scheduling, leaks into the result
+/// bytes. This closes the closure-less gap `par-merge-registered`
+/// cannot see (a bare `.sum()` takes no closure argument).
+fn float_reduce_order(g: &CallGraph, sink: &mut Sink) {
+    for n in &g.nodes {
+        let calls = &n.func.calls;
+        if !n.lib_scope() || calls.iter().any(|k| REGISTERED_MERGES.contains(&k.callee.name())) {
+            continue;
+        }
+        for (ci, call) in calls.iter().enumerate() {
+            if !matches!(call.callee, Callee::Method(_))
+                || !matches!(call.callee.name(), "sum" | "product")
+            {
+                continue;
+            }
+            let Some(m) = calls[..ci].iter().rposition(|k| PAR_MARKERS.contains(&k.callee.name()))
+            else {
+                continue;
+            };
+            if calls[m..ci].iter().any(|k| k.callee.name() == "collect") {
+                continue;
+            }
+            sink.emit(
+                &n.file,
+                call.line,
+                "float-reduce-order",
+                format!(
+                    "`.{}()` after a parallel iterator marker accumulates \
+                     floats in scheduling order — collect() into an ordered \
+                     container first or route through a registered merge ({})",
+                    call.callee.name(),
+                    REGISTERED_MERGES.join("/"),
+                ),
+            );
         }
     }
 }

@@ -15,17 +15,18 @@
 //!   is safe to shard (the five `par-*` rules), spans on worker threads
 //!   carry a cell trace (`trace-context`), and parallel float
 //!   reductions run in a fixed order (`float-reduce-order`);
-//! * **key purity** — no ambient read reaches a cell computation outside
-//!   the declared cache key (`cache-key-completeness`);
 //! * **live suppressions** — every `audit:allow(rule, reason)` still
 //!   silences a finding (`stale-allow`).
 //!
 //! The per-site rules live in the toolchain: clippy's
-//! `[workspace.lints.clippy]` and `crates/clippy.toml` (wall clock,
-//! environment reads, raw file writes, hash containers, prints, panics,
-//! discarded `#[must_use]` values), rustc's `#[expect]` for stale
-//! suppressions, and runtime tests for guard, span and manifest
-//! coverage — DESIGN.md §6b maps each one.
+//! `[workspace.lints.clippy]` and `crates/clippy.toml` (wall clock and
+//! the telemetry clock, environment reads, file reads, raw file writes,
+//! hash containers, prints, panics, discarded `#[must_use]` values),
+//! rustc's `#[expect]` for stale suppressions, and runtime tests for
+//! guard, span and manifest coverage — DESIGN.md §6b maps each one.
+//! That a cached grid cell never stands in for another computation is
+//! not a lint at all: the cell key's typed inputs and rein-core's
+//! store-equivalence test hold it (DESIGN.md §6h).
 //!
 //! Run it with `cargo run -p rein-audit`; it prints a human report,
 //! writes machine-readable JSON to `artifacts/audit/report.json` and
@@ -33,16 +34,13 @@
 
 pub mod callgraph;
 pub mod concurrency;
-pub mod dataflow;
 pub mod lexer;
 pub mod parser;
-pub mod purity;
 pub mod report;
 pub mod rules;
 pub mod sarif;
 pub mod semantic;
 
-pub use purity::{cache_key_fields, certify, EntryCertificate};
 pub use report::{audit_workspace, collect_sources, Report, RuleSummary};
 pub use rules::{audit_source, classify, AllowEntry, AllowTable, FileClass, Violation, RULES};
 pub use sarif::to_sarif;

@@ -1,7 +1,7 @@
 //! A recursive-descent parser for the Rust subset the semantic rules
 //! need: items (fns, mods, impls, traits, uses), function signatures,
 //! and a linear body scan that records calls (with per-argument ident
-//! flow), `let` bindings, closures and struct literals.
+//! flow), `let` bindings and closures.
 //!
 //! It runs over the comment/string-blanked output of [`crate::lexer`],
 //! so literals and prose can never produce spurious tokens. It is not a
@@ -9,8 +9,6 @@
 //! are skipped token-by-token) and only reports *structural* errors
 //! (unbalanced delimiters at end of file), which is what the parser
 //! smoke test asserts over the whole workspace.
-
-use std::collections::BTreeSet;
 
 use crate::lexer::{lex, SourceLine};
 
@@ -215,20 +213,6 @@ pub struct Closure {
     pub idents: Vec<String>,
 }
 
-/// One struct-literal expression (`Name { field: expr, .. }`). Field
-/// sensitivity exists for the cache-key rules: the audit must see which
-/// idents flow into which `CellKey` component, and whether a literal
-/// names a field outside the declared key tuple.
-#[derive(Debug, Clone, Default)]
-pub struct StructLit {
-    /// The literal's type name (last path segment as written).
-    pub name: String,
-    /// `(field, idents flowing into its initializer)` in source order;
-    /// a shorthand field carries its own name as the single ident.
-    pub fields: Vec<(String, Vec<String>)>,
-    pub line: usize,
-}
-
 /// One parsed function (top-level, impl/trait method, or nested).
 #[derive(Debug, Clone, Default)]
 pub struct Function {
@@ -246,12 +230,6 @@ pub struct Function {
     pub calls: Vec<Call>,
     pub lets: Vec<LetBinding>,
     pub closures: Vec<Closure>,
-    /// Every ident occurrence in the body, call-path segments and plain
-    /// idents alike. The static-read taint detector intersects this
-    /// with the workspace's declared `static` names.
-    pub body_idents: BTreeSet<String>,
-    /// Struct-literal expressions in body order.
-    pub struct_lits: Vec<StructLit>,
 }
 
 /// One function parameter: bound pattern idents plus the type text.
@@ -311,18 +289,6 @@ struct OpenLet {
     in_type: bool,
 }
 
-/// A struct literal whose field list is still being scanned.
-struct OpenStructLit {
-    /// Index into the function's `struct_lits`.
-    ix: usize,
-    /// Delimiter depth just inside the literal's brace.
-    inner: i64,
-    /// The next single ident at `inner` depth may be a field name.
-    awaiting_name: bool,
-    /// Index into `fields` of the initializer currently being fed.
-    cur_field: Option<usize>,
-}
-
 /// A closure whose body is still being scanned.
 struct OpenClosure {
     /// Index into the function's `closures`.
@@ -341,26 +307,6 @@ fn close_closures(closures: &mut Vec<OpenClosure>, depth: i64) {
 fn end_closures_at(closures: &mut Vec<OpenClosure>, depth: i64) {
     while closures.last().is_some_and(|c| c.entry_depth >= depth) {
         closures.pop();
-    }
-}
-
-fn close_struct_lits(struct_lits: &mut Vec<OpenStructLit>, depth: i64) {
-    while struct_lits.last().is_some_and(|s| s.inner > depth) {
-        struct_lits.pop();
-    }
-}
-
-/// Feeds an ident occurrence into the innermost struct literal's
-/// currently-active field initializer.
-fn feed_struct_field(f: &mut Function, struct_lits: &[OpenStructLit], name: &str) {
-    if let Some(top) = struct_lits.last() {
-        if let Some(fi) = top.cur_field {
-            if let Some(sl) = f.struct_lits.get_mut(top.ix) {
-                if let Some((_, idents)) = sl.fields.get_mut(fi) {
-                    idents.push(name.to_string());
-                }
-            }
-        }
     }
 }
 
@@ -999,7 +945,6 @@ impl Parser {
         let mut calls: Vec<OpenCall> = Vec::new();
         let mut lets: Vec<OpenLet> = Vec::new();
         let mut closures: Vec<OpenClosure> = Vec::new();
-        let mut struct_lits: Vec<OpenStructLit> = Vec::new();
 
         while let Some(tok) = self.peek() {
             let kind = tok.kind;
@@ -1024,7 +969,6 @@ impl Parser {
                     self.bump();
                     close_calls(f, &mut calls, depth);
                     close_closures(&mut closures, depth);
-                    close_struct_lits(&mut struct_lits, depth);
                     finish_lets(f, &mut lets, depth + 1);
                     if depth == 0 {
                         finish_lets(f, &mut lets, 0);
@@ -1038,12 +982,6 @@ impl Parser {
                 }
                 (TokKind::Punct, ",") => {
                     end_closures_at(&mut closures, depth);
-                    if let Some(top) = struct_lits.last_mut() {
-                        if top.inner == depth {
-                            top.awaiting_name = true;
-                            top.cur_field = None;
-                        }
-                    }
                     if let Some(top) = calls.last() {
                         if top.inner == depth {
                             if let Some(call) = f.calls.get_mut(top.ix) {
@@ -1158,14 +1096,7 @@ impl Parser {
                 (TokKind::Ident, "_") => self.bump(),
                 (TokKind::Ident, s) if is_keyword(s) => self.bump(),
                 (TokKind::Ident, _) => {
-                    self.scan_ident(
-                        f,
-                        &mut depth,
-                        &mut calls,
-                        &mut lets,
-                        &closures,
-                        &mut struct_lits,
-                    );
+                    self.scan_ident(f, &mut depth, &mut calls, &mut lets, &closures);
                 }
                 (TokKind::Number | TokKind::Str | TokKind::CharLit, _) => {
                     feed_literal(f, &calls);
@@ -1188,7 +1119,6 @@ impl Parser {
         calls: &mut Vec<OpenCall>,
         lets: &mut [OpenLet],
         closures: &[OpenClosure],
-        struct_lits: &mut Vec<OpenStructLit>,
     ) {
         let first = match self.peek() {
             Some(t) => t.clone(),
@@ -1238,9 +1168,6 @@ impl Parser {
             }
             after = j;
         }
-        for seg in &segs {
-            f.body_idents.insert(seg.clone());
-        }
         let is_call = self.peek_at(after).is_some_and(|t| t.text == "(");
         if is_call {
             let ix = f.calls.len();
@@ -1261,47 +1188,11 @@ impl Parser {
             *depth += 1;
             calls.push(OpenCall { ix, inner: *depth });
         } else {
-            // Struct-literal field position: a single ident at the
-            // literal's own depth followed by `:` names a field;
-            // followed by `,`/`}` it is a shorthand field. Anything
-            // else (a statement in a misdetected block, a path, …) just
-            // stops the field search until the next top-level comma.
-            let mut named_field = false;
-            if segs.len() == 1 {
-                if let Some(top) = struct_lits.last_mut() {
-                    if top.inner == *depth && top.awaiting_name {
-                        top.awaiting_name = false;
-                        top.cur_field = None;
-                        match self.peek_at(k).map(|t| (t.kind, t.text.as_str() == ":")) {
-                            Some((TokKind::Punct, true)) => {
-                                if let Some(sl) = f.struct_lits.get_mut(top.ix) {
-                                    top.cur_field = Some(sl.fields.len());
-                                    sl.fields.push((segs[0].clone(), Vec::new()));
-                                }
-                                named_field = true;
-                            }
-                            _ => {
-                                let shorthand = self.peek_at(k).is_some_and(|t| {
-                                    t.kind == TokKind::Punct && (t.text == "," || t.text == "}")
-                                });
-                                if shorthand {
-                                    if let Some(sl) = f.struct_lits.get_mut(top.ix) {
-                                        sl.fields.push((segs[0].clone(), vec![segs[0].clone()]));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
             // Plain path: feed every segment as an ident occurrence and
             // collect lowercase segments as pattern names when inside a
             // let pattern.
             for seg in &segs {
                 feed_ident(f, calls, lets, closures, seg);
-                if !named_field {
-                    feed_struct_field(f, struct_lits, seg);
-                }
                 if let Some(top) = lets.last_mut() {
                     // Pattern idents may sit inside tuple/struct/variant
                     // sub-patterns, i.e. at a deeper delimiter depth.
@@ -1318,29 +1209,6 @@ impl Parser {
             }
             for _ in 0..k {
                 self.bump();
-            }
-            // A type-named path directly followed by `{` opens a struct
-            // literal (`CellKey { … }`, `Self { … }`). Match scrutinees
-            // can misdetect here (valid Rust bans literals in that
-            // position, so this is over-approximation, not ambiguity);
-            // the field grammar above keeps such blocks near-empty.
-            let type_like =
-                segs.last().is_some_and(|s| s.chars().next().is_some_and(char::is_uppercase));
-            if type_like && !named_field && self.at_punct("{") {
-                self.bump();
-                *depth += 1;
-                let ix = f.struct_lits.len();
-                f.struct_lits.push(StructLit {
-                    name: segs.last().cloned().unwrap_or_default(),
-                    fields: Vec::new(),
-                    line: first.line,
-                });
-                struct_lits.push(OpenStructLit {
-                    ix,
-                    inner: *depth,
-                    awaiting_name: true,
-                    cur_field: None,
-                });
             }
         }
     }
@@ -1551,57 +1419,16 @@ mod tests {
     }
 
     #[test]
-    fn struct_literals_record_fields_and_ident_flow() {
-        let p = parse(
-            "fn build(seed: u64, scale: f64) -> CellKey {\n\
-                 let strategy = label();\n\
-                 CellKey { dataset: name.clone(), seed: derive(seed, 1), scale, strategy }\n\
-             }\n",
-        );
-        let f = &p.functions[0];
-        assert_eq!(f.struct_lits.len(), 1, "{:?}", f.struct_lits);
-        let sl = &f.struct_lits[0];
-        assert_eq!(sl.name, "CellKey");
-        let names: Vec<&str> = sl.fields.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, ["dataset", "seed", "scale", "strategy"]);
-        let field = |n: &str| &sl.fields.iter().find(|(f2, _)| f2 == n).expect("field").1;
-        assert!(field("dataset").contains(&"name".to_string()));
-        assert!(field("seed").contains(&"seed".to_string()));
-        assert!(!field("seed").contains(&"name".to_string()), "fields stay separate");
-        assert_eq!(field("scale"), &["scale"], "shorthand carries its own name");
-    }
-
-    #[test]
     fn nested_struct_literals_close_cleanly() {
         let p = parse(
             "fn go() -> Outer {\n\
-                 Outer { inner: Inner { a: left, b }, tail: right }\n\
-             }\n",
+                 Outer { inner: Inner { a: left(), b }, tail: right() }\n\
+             }\n\
+             fn after() { tail(); }\n",
         );
-        let f = &p.functions[0];
-        assert_eq!(f.struct_lits.len(), 2, "{:?}", f.struct_lits);
-        let outer = f.struct_lits.iter().find(|s| s.name == "Outer").expect("outer");
-        let inner = f.struct_lits.iter().find(|s| s.name == "Inner").expect("inner");
-        let names =
-            |s: &StructLit| -> Vec<String> { s.fields.iter().map(|(n, _)| n.clone()).collect() };
-        assert_eq!(names(outer), ["inner", "tail"]);
-        assert_eq!(names(inner), ["a", "b"]);
-        assert!(outer.fields[1].1.contains(&"right".to_string()));
-    }
-
-    #[test]
-    fn body_idents_cover_plain_and_path_references() {
-        let p = parse(
-            "fn go() {\n\
-                 DRAWS.fetch_add(1);\n\
-                 let x = helper(COUNT);\n\
-                 std::env::var(\"K\").ok();\n\
-             }\n",
-        );
-        let f = &p.functions[0];
-        for id in ["DRAWS", "COUNT", "env", "var", "helper"] {
-            assert!(f.body_idents.contains(id), "missing {id}: {:?}", f.body_idents);
-        }
+        let calls: Vec<&str> = p.functions[0].calls.iter().map(|c| c.callee.name()).collect();
+        assert_eq!(calls, ["left", "right"], "field initializers are scanned");
+        assert_eq!(p.functions[1].name, "after", "the literals' braces closed in the body");
     }
 
     #[test]

@@ -36,17 +36,17 @@ pub struct RuleInfo {
 }
 
 /// DESIGN.md section anchors the `help_uri` fields point into.
+const DOC_AUDIT: &str = "DESIGN.md#6b-determinism-invariants-and-the-audit-rein-audit";
 const DOC_SEMANTIC: &str = "DESIGN.md#6c-semantic-rules-ast--call-graph";
 const DOC_CONCURRENCY: &str =
     "DESIGN.md#6g-concurrency-determinism-rules-parallel-grid-certification";
-const DOC_DATAFLOW: &str = "DESIGN.md#6h-cache-key-purity-certification-taint-dataflow";
 const DOC_TRACE: &str = "DESIGN.md#6i-causal-cell-level-tracing-trace-context-propagation";
 
 /// The audit rule catalog: the rules that need the workspace call graph.
 /// Per-site rules (wall clock, environment reads, raw writes, hash
 /// containers, prints, panics, discarded results) are clippy lints; see
 /// DESIGN.md §6b.
-pub const RULES: [RuleInfo; 11] = [
+pub const RULES: [RuleInfo; 10] = [
     RuleInfo {
         id: "seed-provenance",
         help_uri: DOC_SEMANTIC,
@@ -122,7 +122,7 @@ pub const RULES: [RuleInfo; 11] = [
     },
     RuleInfo {
         id: "float-reduce-order",
-        help_uri: DOC_DATAFLOW,
+        help_uri: DOC_CONCURRENCY,
         description: "`.sum()`/`.product()` downstream of a parallel \
                       iterator must collect() into an ordered container \
                       first or route through a registered deterministic \
@@ -130,19 +130,8 @@ pub const RULES: [RuleInfo; 11] = [
                       associative, so scheduling leaks into result bytes.",
     },
     RuleInfo {
-        id: "cache-key-completeness",
-        help_uri: DOC_DATAFLOW,
-        description: "No ambient read (environment, filesystem, \
-                      wall-clock, static/thread_local state) may reach \
-                      the cell-compute region without flowing through \
-                      the declared cache key \
-                      (rein_core::cache_key::CellKey) — an input the \
-                      key cannot see makes every incremental cache hit \
-                      a potential stale replay.",
-    },
-    RuleInfo {
         id: "stale-allow",
-        help_uri: DOC_DATAFLOW,
+        help_uri: DOC_AUDIT,
         description: "An audit:allow annotation that no longer suppresses \
                       any finding — remove it so dead suppressions \
                       cannot mask a future regression.",

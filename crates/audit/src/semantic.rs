@@ -1,6 +1,6 @@
 //! Semantic rules over the parsed workspace: seed provenance and split
-//! leakage, plus [`analyze`], which runs them with the concurrency and
-//! purity rules.
+//! leakage, plus [`analyze`], which runs them with the concurrency
+//! rules.
 //!
 //! Each rule works on the [`CallGraph`] built from every first-party
 //! file, and reuses the `audit:allow(rule, reason)` suppression
@@ -116,7 +116,6 @@ pub fn analyze(model: &WorkspaceModel) -> SemanticOutcome {
     seed_provenance(&graph, &mut sink);
     split_leakage(&graph, &mut sink);
     crate::concurrency::analyze_concurrency(model, &graph, &mut sink);
-    crate::purity::analyze_purity(model, &graph, &mut sink);
     let mut out = sink.out;
     out.violations.sort();
     out

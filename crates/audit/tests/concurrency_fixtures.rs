@@ -1,11 +1,16 @@
 //! Fixture-based tests for the concurrency-determinism rules and for
-//! closure-argument call-graph resolution: each `par-*` rule has a
-//! negative fixture it must flag and a positive fixture it must pass,
+//! closure-argument call-graph resolution: each `par-*` rule and
+//! `float-reduce-order` has a negative fixture it must flag and a
+//! positive fixture it must pass,
 //! and closures passed to higher-order functions are proven to be
 //! traversable call edges (same-file, cross-file, and parallel-entry
 //! variants).
 
-#![allow(clippy::panic, reason = "test support: a broken expectation fails the test")]
+#![allow(
+    clippy::panic,
+    clippy::disallowed_methods,
+    reason = "test support: a broken expectation fails the test, and the fixtures are files"
+)]
 
 use std::path::Path;
 
@@ -131,6 +136,35 @@ fn par_merge_registered_flags_ad_hoc_float_reduce() {
 fn par_merge_registered_accepts_registered_merges_and_collect() {
     let violations = analyze_assembly(&[("par_merge_ok.rs", "crates/core/src/fixture.rs")]);
     assert!(of_rule(&violations, "par-merge-registered").is_empty(), "got {violations:?}");
+}
+
+// ------------------------------------------------------ float-reduce-order
+
+#[test]
+fn float_reduce_flags_sum_off_a_parallel_iterator() {
+    let violations = analyze_assembly(&[("float_reduce_bad.rs", "crates/core/src/fixture.rs")]);
+    let hits = of_rule(&violations, "float-reduce-order");
+    assert_eq!(hits.len(), 1, "got {violations:?}");
+    assert!(hits[0].message.contains("sum"), "got {hits:?}");
+}
+
+#[test]
+fn float_reduce_passes_collect_plus_registered_merge() {
+    let violations = analyze_assembly(&[("float_reduce_ok.rs", "crates/core/src/fixture.rs")]);
+    assert!(of_rule(&violations, "float-reduce-order").is_empty(), "{violations:?}");
+}
+
+#[test]
+fn float_reduce_suppression_works() {
+    let source = "pub fn mean(xs: &[f64]) -> f64 {\n\
+         // audit:allow(float-reduce-order, inputs are sanitized to exact dyadics)\n\
+         xs.par_iter().map(|x| x * 0.5).sum::<f64>()\n\
+         }\n";
+    let model =
+        WorkspaceModel::build(&[("crates/core/src/fixture.rs".to_string(), source.to_string())]);
+    let out = analyze(&model);
+    assert!(of_rule(&out.violations, "float-reduce-order").is_empty(), "{:?}", out.violations);
+    assert!(out.suppressed >= 1, "expected a suppressed finding");
 }
 
 // ----------------------------------------------------- par-atomic-ordering

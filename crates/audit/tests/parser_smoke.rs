@@ -2,6 +2,11 @@
 //! must go through the Rust-subset parser without recovery errors —
 //! the semantic rules are only as trustworthy as the parse they see.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test support: the workspace sources are this test's fixture"
+)]
+
 use std::path::Path;
 
 use rein_audit::{collect_sources, WorkspaceModel};

@@ -5,7 +5,11 @@
 //! Semantic rules see the *whole workspace* at once, so a fixture here
 //! is an assembly of `(virtual path, file)` pairs.
 
-#![allow(clippy::panic, reason = "test support: a broken expectation fails the test")]
+#![allow(
+    clippy::panic,
+    clippy::disallowed_methods,
+    reason = "test support: a broken expectation fails the test, and the fixtures are files"
+)]
 
 use std::path::Path;
 

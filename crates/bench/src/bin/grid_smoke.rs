@@ -521,6 +521,10 @@ fn crash_mode() -> ! {
     // final record's checksum breaks; recovery must quarantine exactly
     // that stretch and the next run recomputes the lost cell.
     let journal = cold_store.join("journal.wal");
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the smoke corrupts a scratch journal on purpose"
+    )]
     match std::fs::read(&journal) {
         Ok(mut bytes) if bytes.len() > 8 => {
             let last = bytes.len() - 1;
@@ -603,6 +607,7 @@ fn run_child(exe: &Path, work: &Path, store: &Path, name: &str) -> (Stats, PathB
         fail(6, &format!("{name} child wrote no dump at {}", dump.display()));
     }
     let stats = work.join(format!("{name}.stats.json"));
+    #[expect(clippy::disallowed_methods, reason = "the smoke reads its child's counter snapshot")]
     let text = std::fs::read_to_string(&stats)
         .unwrap_or_else(|e| fail(6, &format!("missing stats {}: {e}", stats.display())));
     let counters = serde_json::from_str(&text)
@@ -622,6 +627,7 @@ fn died_by_crash(status: &std::process::ExitStatus) -> bool {
     status.code().is_none() || (!cfg!(unix) && !status.success())
 }
 
+#[expect(clippy::disallowed_methods, reason = "the smoke compares the cell dumps its runs wrote")]
 fn read_dump(path: &Path) -> String {
     std::fs::read_to_string(path)
         .unwrap_or_else(|e| fail(2, &format!("cannot read {}: {e}", path.display())))
@@ -641,6 +647,10 @@ fn expect_identical(want: &str, dump: &Path, what: &str) {
 /// with its quarantined blob actually on disk.
 fn check_quarantine_report(store: &Path) {
     let path = rein_store::Store::quarantine_report_path(store);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the smoke checks the quarantine report it provoked"
+    )]
     let entries: Vec<rein_store::QuarantineEntry> = match std::fs::read_to_string(&path) {
         Ok(text) => serde_json::from_str(&text).unwrap_or_default(),
         Err(e) => fail(7, &format!("missing quarantine report {}: {e}", path.display())),

@@ -4,13 +4,12 @@
 //! *cell* — a (dataset version, strategy, inputs, seed, scale, guard
 //! policy) tuple — and replays its stored result on a key hit. That is
 //! only sound if every value-influencing input of the cell computation
-//! is a component of this key. The grid passes each kernel only
-//! parameters the key renders, and `rein-audit`'s
-//! `cache-key-completeness` rule proves that no ambient channel
-//! (environment, files, clock, statics) reaches the cell-compute entry
-//! points (see DESIGN.md §6h). Neither covers a changed kernel or a hash
-//! collision: a key hit is not a proof that the stored bytes are the
-//! ones a recompute would produce.
+//! is a component of this key. A cell's phase inputs are one
+//! [`CellInputs`], which its key renders and its compute closure reads,
+//! and rein-core's `a_store_never_changes_a_grids_output` test checks
+//! the other inputs (DESIGN.md §6h). Neither covers a changed kernel or a
+//! hash collision: a key hit is not a proof that the stored bytes are
+//! the ones a recompute would produce.
 //!
 //! The hash is the workspace's one FNV-1a-64, rendered in `rein-ledger`'s
 //! 16-hex content-key format; the durable cell store (`rein-store`)
@@ -24,15 +23,37 @@ use std::fmt::{self, Write};
 
 use rein_ledger::Fnv1a64;
 
+/// A cell's own inputs: what its phase reads beyond its table, seed,
+/// scale and guard policy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CellInputs {
+    /// A detection cell's label budget: `labels=<budget>`.
+    Labels(usize),
+    /// A repair cell's mask, FNV-1a-64 of its detect payload: `mask=<16 hex>`.
+    Mask(u64),
+    /// A model cell's score count: `repeats=<n>`.
+    Repeats(usize),
+}
+
+impl fmt::Display for CellInputs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CellInputs::Labels(budget) => write!(f, "labels={budget}"),
+            CellInputs::Mask(digest) => write!(f, "mask={digest:016x}"),
+            CellInputs::Repeats(n) => write!(f, "repeats={n}"),
+        }
+    }
+}
+
 /// The declared cache-key tuple of one grid cell.
 ///
 /// Field order is the identity order: the key's `Display` joins the
 /// components with `|` behind a `cell` kind tag, and
 /// [`CellKey::content_key`] hashes that text.
 /// Adding a value-influencing input to the cell computation means
-/// adding a field here — the audit's purity certificate is relative to
-/// this struct's declared fields. The text components borrow or own
-/// their strings alike: the grid borrows every one of them.
+/// adding it here, to [`CellInputs`] when it is a phase's own. The text
+/// components borrow or own their strings alike: the grid borrows every
+/// one of them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellKey<'a> {
     /// Dataset name (`DatasetInfo::name`).
@@ -47,12 +68,9 @@ pub struct CellKey<'a> {
     /// coordinate) only when a scoped chaos rule names that pair; every
     /// other repair cell serves each detector that emitted its mask.
     pub strategy: Cow<'a, str>,
-    /// The phase's own inputs, which no other component carries:
-    /// `labels=<budget>` for a detection cell (the label budget of the
-    /// ML-supported detectors), `mask=<digest>` for a repair cell (the
-    /// FNV-1a-64 of the detection mask's payload it repairs) and
-    /// `repeats=<n>` for a model cell (its score count).
-    pub inputs: Cow<'a, str>,
+    /// The phase's own inputs: the label budget of a detection cell,
+    /// the mask digest of a repair cell, the repeat count of a model cell.
+    pub inputs: CellInputs,
     /// The fully-derived cell seed (after every `derive_seed` step).
     pub seed: u64,
     /// Dataset scale factor the cell ran at.
@@ -116,7 +134,7 @@ mod tests {
             dataset: "beers".into(),
             dataset_version: "v:0123456789abcdef".into(),
             strategy: "eval:S1:ImputeMeanMode#Raha".into(),
-            inputs: "repeats=1".into(),
+            inputs: CellInputs::Repeats(1),
             seed: 41_207,
             scale: 1.0,
             guard_policy: "deadline=0;chaos=off".into(),
@@ -146,7 +164,8 @@ mod tests {
             |k: &mut CellKey| k.dataset.to_mut().push('x'),
             |k: &mut CellKey| k.dataset_version.to_mut().push('x'),
             |k: &mut CellKey| k.strategy.to_mut().push('x'),
-            |k: &mut CellKey| k.inputs.to_mut().push('x'),
+            |k: &mut CellKey| k.inputs = CellInputs::Repeats(2),
+            |k: &mut CellKey| k.inputs = CellInputs::Labels(1),
             |k: &mut CellKey| k.seed += 1,
             |k: &mut CellKey| k.scale += 0.5,
             |k: &mut CellKey| k.guard_policy.to_mut().push('x'),
@@ -175,6 +194,19 @@ mod tests {
         ]
     }
 
+    /// Inputs with the identity text each rendered before the enum: the
+    /// mask digest as the ledger's content key of the detect payload.
+    fn arb_inputs() -> impl Strategy<Value = (CellInputs, String)> {
+        prop_oneof![
+            any::<usize>().prop_map(|n| (CellInputs::Labels(n), format!("labels={n}"))),
+            TEXT.prop_map(|payload| (
+                CellInputs::Mask(fnv1a64(payload.as_bytes())),
+                format!("mask={}", content_key(&payload))
+            )),
+            any::<usize>().prop_map(|n| (CellInputs::Repeats(n), format!("repeats={n}"))),
+        ]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(400))]
 
@@ -185,7 +217,7 @@ mod tests {
             dataset in TEXT,
             dataset_version in TEXT,
             strategy in TEXT,
-            inputs in TEXT,
+            (inputs, rendered) in arb_inputs(),
             seed in any::<u64>(),
             scale in arb_scale(),
             guard_policy in TEXT,
@@ -194,7 +226,7 @@ mod tests {
                 dataset: dataset.as_str().into(),
                 dataset_version: dataset_version.into(),
                 strategy: strategy.as_str().into(),
-                inputs: inputs.as_str().into(),
+                inputs,
                 seed,
                 scale,
                 guard_policy: guard_policy.into(),
@@ -203,7 +235,7 @@ mod tests {
             prop_assert_eq!(
                 &identity,
                 &format!(
-                    "cell|{dataset}|{}|{strategy}|{inputs}|{seed}|{scale}|{}",
+                    "cell|{dataset}|{}|{strategy}|{rendered}|{seed}|{scale}|{}",
                     k.dataset_version, k.guard_policy
                 )
             );

@@ -11,12 +11,13 @@ use rein_data::{CellMask, MlTask};
 use rein_datasets::GeneratedDataset;
 use rein_detect::DetectorKind;
 use rein_guard::{CrashWhen, GuardPolicy, GuardSpec, Phase, StrategyFailure};
+use rein_ledger::fnv1a64;
 use rein_ml::model::{ClassifierKind, ClustererKind, RegressorKind};
 use rein_repair::{RepairCategory, RepairKind};
 use rein_store::{CrashPoint, Store, StoreWriter};
 use rein_telemetry::SpanCtx;
 
-use crate::cache_key::CellKey;
+use crate::cache_key::{CellInputs, CellKey};
 use crate::evaluate::{
     eval_classifier_guarded, eval_clusterer, eval_regressor_guarded, repair_quality_categorical,
     repair_quality_numerical, replay_detector_run, run_repair_guarded, table_identity,
@@ -171,7 +172,7 @@ impl Controller {
     ) -> BTreeMap<String, String> {
         let _span = rein_telemetry::span("controller:grid");
         let grid = Grid::new(self, self.store.as_deref(), ds);
-        let evals = EvalPlan { scenarios, repeats, inputs: format!("repeats={repeats}") };
+        let evals = EvalPlan { scenarios, repeats };
         let detections = grid.detect_phase();
         // The map's copy of each payload is the grid's only one: a hit
         // shares the store's bytes and a miss the bytes its worker built.
@@ -225,43 +226,6 @@ impl Controller {
     fn emit_progress(&self, line: &str) {
         if self.progress {
             eprintln!("[progress] {line}");
-        }
-    }
-
-    /// The canonical cache key of one grid cell: the key
-    /// [`Controller::run_grid`] hashes into each cell's store digest and
-    /// trace id. `strategy` is the cell's [`CellKey::strategy`]
-    /// (`detect:…`, `repair:…` or `eval:…:…#…`), `dataset_version`
-    /// the consumed version's [`VersionTable::content_identity`] (the
-    /// dirty table's identity for detection and repair cells), `inputs`
-    /// the phase's own inputs (`labels=<budget>`, `mask=<digest>` or
-    /// `repeats=<n>`), `cell_seed` the fully-derived per-cell seed, and
-    /// `scale` the dataset generation factor. The grid passes a cell's
-    /// kernel only parameters these components render, and rein-audit's
-    /// `cache-key-completeness` rule proves that no ambient channel
-    /// reaches the cell-compute entry points (DESIGN.md §6h). That makes
-    /// a hit the recompute of the same inputs by the same code; it is not
-    /// a proof of byte identity, since a changed kernel keeps its keys
-    /// and two inputs can collide in the 64-bit digest.
-    /// The grid builds the same key from borrowed components and a guard
-    /// policy rendered once per run.
-    pub fn cell_key<'a>(
-        &self,
-        ds: &'a GeneratedDataset,
-        dataset_version: &'a str,
-        strategy: &'a str,
-        inputs: &'a str,
-        scale: f64,
-        cell_seed: u64,
-    ) -> CellKey<'a> {
-        CellKey {
-            dataset: ds.info.name.as_str().into(),
-            dataset_version: dataset_version.into(),
-            strategy: strategy.into(),
-            inputs: inputs.into(),
-            seed: cell_seed,
-            scale,
-            guard_policy: self.policy.cache_identity().into(),
         }
     }
 
@@ -375,9 +339,6 @@ struct Grid<'a> {
     /// Content identity of the dirty table: the `dataset_version` key
     /// component of every detect and repair cell.
     dirty_id: String,
-    /// `labels=<budget>`: the `inputs` key component of every detect
-    /// cell.
-    labels: String,
     /// The guard policy's cache identity, rendered once per grid: the
     /// `guard_policy` key component of every cell.
     guard_policy: String,
@@ -397,7 +358,6 @@ impl<'a> Grid<'a> {
             detectors,
             repairers: generic_repairers.into_iter().chain(ml_repairers).collect(),
             dirty_id: table_identity(&ds.dirty),
-            labels: format!("labels={}", ctrl.label_budget),
             guard_policy: ctrl.policy.cache_identity(),
         }
     }
@@ -414,8 +374,9 @@ impl<'a> Grid<'a> {
             .map(|&kind| {
                 let seed = derive_seed(self.ctrl.seed, kind.index_letter() as u64);
                 let coordinate = format!("detect:{}", kind.name());
-                let trace = self.key(&self.dirty_id, &coordinate, &self.labels, seed).hash();
-                CellId { coordinate, seed, trace }
+                let inputs = CellInputs::Labels(self.ctrl.label_budget);
+                let trace = self.key(&self.dirty_id, &coordinate, inputs, seed).hash();
+                CellId { coordinate, seed, inputs, trace }
             })
             .collect();
         let (rows, cols) = (self.ds.dirty.n_rows(), self.ds.dirty.n_cols());
@@ -429,7 +390,12 @@ impl<'a> Grid<'a> {
             Some(span.ctx()),
             lookup,
             |i, id| {
-                let harness = DetectorHarness::new(self.ds, self.ctrl.label_budget, id.seed)
+                #[expect(clippy::unreachable, reason = "detect cells key on their label budget")]
+                let CellInputs::Labels(budget) = id.inputs
+                else {
+                    unreachable!()
+                };
+                let harness = DetectorHarness::new(self.ds, budget, id.seed)
                     .with_policy(self.ctrl.policy.clone());
                 let run = harness.run(self.ds, self.detectors[i]);
                 (detect_payload(&run.mask), None, run)
@@ -476,8 +442,9 @@ impl<'a> Grid<'a> {
                 } else {
                     &coordinate[..coordinate.len() - detector.len() - 1]
                 };
-                let trace = self.key(&self.dirty_id, strategy, &group.inputs, seed).hash();
-                CellId { coordinate, seed, trace }
+                let inputs = CellInputs::Mask(group.digest);
+                let trace = self.key(&self.dirty_id, strategy, inputs, seed).hash();
+                CellId { coordinate, seed, inputs, trace }
             })
             .collect();
         // The crash points by the coordinate each cell's commit carries.
@@ -575,9 +542,10 @@ impl<'a> Grid<'a> {
                 let coordinate = format!("eval:{}:{repairer}#{det_name}", scenario.name());
                 let position = (det_ix as u64) * 1_000 + (si as u64) * 100 + slot.ri as u64;
                 let seed = derive_seed(self.ctrl.seed, 40_000 + position);
-                let trace = self.key(version_id, &coordinate, &plan.inputs, seed).hash();
+                let inputs = CellInputs::Repeats(plan.repeats);
+                let trace = self.key(version_id, &coordinate, inputs, seed).hash();
                 work.push((scenario, c));
-                ids.push(CellId { coordinate, seed, trace });
+                ids.push(CellId { coordinate, seed, inputs, trace });
             }
         }
         let (cells, misses) = self.lookup(ids, |_, _| Some(()));
@@ -618,28 +586,30 @@ impl<'a> Grid<'a> {
                 let version = repairs[c].run.as_ref().and_then(|run| run.version.as_ref());
                 #[expect(clippy::expect_used, reason = "eval cells exist only for version-producing repairs, and each miss's repair ran live or was rehydrated above")]
                 let version = version.expect("versioned repair");
-                (self.ctrl.eval_cell(self.ds, scenario, version, plan.repeats, id.seed), None, ())
+                #[expect(clippy::unreachable, reason = "eval cells key on their repeat count")]
+                let CellInputs::Repeats(repeats) = id.inputs else { unreachable!() };
+                (self.ctrl.eval_cell(self.ds, scenario, version, repeats, id.seed), None, ())
             },
             |coordinate| self.ctrl.policy.crash.when_for(coordinate),
             |cell| cell.payload.contains(" failure:"),
         )
     }
 
-    /// One cell's [`CellKey`], borrowing every component: its hash is
-    /// both the trace id and, as hex, the store digest, and hashing it
-    /// allocates nothing.
+    /// One cell's [`CellKey`], borrowing every component: the grid's one
+    /// key constructor. Its hash is both the trace id and, as hex, the
+    /// store digest, and hashing it allocates nothing.
     fn key<'k>(
         &'k self,
         dataset_version: &'k str,
         strategy: &'k str,
-        inputs: &'k str,
+        inputs: CellInputs,
         seed: u64,
     ) -> CellKey<'k> {
         CellKey {
             dataset: self.ds.info.name.as_str().into(),
             dataset_version: dataset_version.into(),
             strategy: strategy.into(),
-            inputs: inputs.into(),
+            inputs,
             seed,
             scale: self.ctrl.scale,
             guard_policy: self.guard_policy.as_str().into(),
@@ -671,11 +641,12 @@ impl<'a> Grid<'a> {
     /// computed cells at the phase's merge point and prints the phase's
     /// progress line. `compute_cell` returns a miss's payload, aux
     /// identity and run; `crash_when` is the `REIN_CRASH` point of a
-    /// commit, by the coordinate it carries; `failed` picks the cells
-    /// counted as degraded. The worker moves each payload into one shared
-    /// allocation, which the staged record, the store's index and the
-    /// cell record all hold. Store counters move only when a store is
-    /// attached.
+    /// commit, by the coordinate it carries; `failed` picks the degraded
+    /// cells, which are counted and never staged, so a later run
+    /// recomputes each one and records its failure again. The worker
+    /// moves each payload into one shared allocation, which the staged
+    /// record, the store's index and the cell record all hold. Store
+    /// counters move only when a store is attached.
     fn compute<R: Send>(
         &self,
         label: &str,
@@ -683,7 +654,7 @@ impl<'a> Grid<'a> {
         (mut cells, misses): Lookup<R>,
         compute_cell: impl Fn(usize, &CellId) -> (String, Option<String>, R) + Sync,
         crash_when: impl Fn(&str) -> Option<CrashWhen>,
-        failed: impl Fn(&CellRecord<R>) -> bool,
+        failed: impl Fn(&CellRecord<R>) -> bool + Sync,
     ) -> Vec<CellRecord<R>> {
         let hits = cells.len() - misses.len();
         if self.store.is_some() {
@@ -701,12 +672,13 @@ impl<'a> Grid<'a> {
             .map(|(i, id)| {
                 let _worker = id.trace_root(parent);
                 let (payload, aux, run) = compute_cell(i, &id);
-                let (payload, aux): (Arc<str>, Option<Arc<str>>) =
-                    (payload.into(), aux.map(Into::into));
-                if let Some(writer) = &writer {
+                let cell =
+                    CellRecord { id, payload: payload.into(), aux: aux.map(Into::into), run };
+                if let Some(writer) = writer.as_ref().filter(|_| !failed(&cell)) {
+                    let CellRecord { id, payload, aux, .. } = &cell;
                     writer.stage(&id.digest(), &id.coordinate, payload.clone(), aux.clone());
                 }
-                (i, CellRecord { id, payload, aux, run })
+                (i, cell)
             })
             .collect();
         for (i, cell) in computed {
@@ -738,15 +710,15 @@ impl<'a> Grid<'a> {
 }
 
 /// Detectors whose detect cells emitted byte-equal masks, in plan order,
-/// and the mask's key component. A repair consumes only the mask: its
-/// seed derives from the repairer and its guard budget from the dirty
-/// table's size, so one repair cell can serve every member.
+/// and the mask's digest. A repair consumes only the mask: its seed
+/// derives from the repairer and its guard budget from the dirty table's
+/// size, so one repair cell can serve every member.
 struct MaskGroup<'d> {
     /// Each member's plan position and run.
     members: Vec<(usize, &'d DetectorRun)>,
-    /// `mask=<digest>`: the `inputs` key component of the group's
-    /// repair cells, FNV-1a-64 of the members' detect payload.
-    inputs: String,
+    /// FNV-1a-64 of the members' detect payload: the
+    /// [`CellInputs::Mask`] of the group's repair cells.
+    digest: u64,
 }
 
 impl<'d> MaskGroup<'d> {
@@ -759,7 +731,10 @@ impl<'d> MaskGroup<'d> {
                 Some((_, group)) => group.members.push((ix, &det.run)),
                 None => groups.push((
                     &det.payload,
-                    MaskGroup { members: vec![(ix, &det.run)], inputs: mask_inputs(&det.payload) },
+                    MaskGroup {
+                        members: vec![(ix, &det.run)],
+                        digest: fnv1a64(det.payload.as_bytes()),
+                    },
                 )),
             }
         }
@@ -768,8 +743,8 @@ impl<'d> MaskGroup<'d> {
 
     /// The group of one detection, outside a grid.
     fn single(detection: &'d DetectorRun) -> Self {
-        let inputs = mask_inputs(&detect_payload(&detection.mask));
-        MaskGroup { members: vec![(0, detection)], inputs }
+        let digest = fnv1a64(detect_payload(&detection.mask).as_bytes());
+        MaskGroup { members: vec![(0, detection)], digest }
     }
 
     /// The mask every member emitted.
@@ -781,12 +756,6 @@ impl<'d> MaskGroup<'d> {
     fn name(&self, member: usize) -> &'static str {
         self.members[member].1.kind.name()
     }
-}
-
-/// The `inputs` key component of a repair of the mask whose detect
-/// payload is `payload`.
-fn mask_inputs(payload: &str) -> String {
-    format!("mask={}", rein_ledger::content_key(payload))
 }
 
 /// One repair cell of a mask group: its repairer and the members it
@@ -813,8 +782,6 @@ struct EvalPlan<'s> {
     scenarios: &'s [Scenario],
     /// Scores per eval cell.
     repeats: usize,
-    /// `repeats=<n>`: the `inputs` key component of every eval cell.
-    inputs: String,
 }
 
 /// One grid cell's identity, built once in plan order.
@@ -823,6 +790,9 @@ struct CellId {
     coordinate: String,
     /// The fully-derived cell seed.
     seed: u64,
+    /// The phase's own inputs, as the key renders them: the compute
+    /// closure reads the cell's label budget or repeat count from here.
+    inputs: CellInputs,
     /// The cell's `CellKey` hash: its trace id.
     trace: u64,
 }
@@ -984,26 +954,27 @@ mod tests {
     #[test]
     fn cell_keys_are_content_addressed_per_coordinate() {
         let ds = DatasetId::BreastCancer.generate(&Params::scaled(0.2, 6));
-        let ctrl = Controller { label_budget: 30, seed: 7, ..Controller::default() };
+        let ctrl = Controller { label_budget: 30, seed: 7, scale: 0.2, ..Controller::default() };
+        let grid = Grid::new(&ctrl, None, &ds);
         let version = VersionTable::identity(ds.dirty.clone());
         let seed_a = derive_seed(ctrl.seed, 40_000);
         let seed_b = derive_seed(ctrl.seed, 40_001);
         let vid = version.content_identity();
-        let a = ctrl.cell_key(&ds, &vid, "eval:S1:ImputeMeanMode#Raha", "repeats=1", 0.2, seed_a);
-        let b =
-            ctrl.cell_key(&ds, &vid, "eval:S1:ImputeMeanMode#MaxEntropy", "repeats=1", 0.2, seed_b);
+        let repeats = CellInputs::Repeats(1);
+        let a = grid.key(&vid, "eval:S1:ImputeMeanMode#Raha", repeats, seed_a);
+        let b = grid.key(&vid, "eval:S1:ImputeMeanMode#MaxEntropy", repeats, seed_b);
         assert_ne!(a.content_key(), b.content_key());
         // Rebuilding the key from the same coordinates is byte-stable.
-        let again =
-            ctrl.cell_key(&ds, &vid, "eval:S1:ImputeMeanMode#Raha", "repeats=1", 0.2, seed_a);
+        let again = grid.key(&vid, "eval:S1:ImputeMeanMode#Raha", repeats, seed_a);
         assert_eq!(a, again);
         assert_eq!(a.content_key(), again.content_key());
         // The grid's stack-rendered store digest is the key's content key.
         for key in [&a, &b] {
-            let id = CellId { coordinate: String::new(), seed: 0, trace: key.hash() };
+            let id =
+                CellId { coordinate: String::new(), seed: 0, inputs: repeats, trace: key.hash() };
             assert_eq!(&*id.digest(), key.content_key());
         }
-        let id = CellId { coordinate: String::new(), seed: 0, trace: 0xab };
+        let id = CellId { coordinate: String::new(), seed: 0, inputs: repeats, trace: 0xab };
         assert_eq!(&*id.digest(), "00000000000000ab", "leading zeros are kept");
         // The version component really is content-addressed: the same
         // table rebuilt from scratch hashes to the same identity.
@@ -1052,8 +1023,9 @@ mod tests {
         let plan = ctrl.plan(&ds);
         let repairers: Vec<RepairKind> =
             plan.generic_repairers.iter().chain(&plan.ml_repairers).copied().collect();
-        let key = |version: &str, strategy: &str, inputs: &str, seed: u64| {
-            ctrl.cell_key(&ds, version, strategy, inputs, ctrl.scale, seed).hash()
+        let grid = Grid::new(&ctrl, None, &ds);
+        let key = |version: &str, strategy: &str, inputs: CellInputs, seed: u64| {
+            grid.key(version, strategy, inputs, seed).hash()
         };
         let mask_of = |det: &DetectorKind| &cells[&format!("detect:{}", det.name())];
         // (coordinate its root is named for, trace id) per computed cell.
@@ -1061,19 +1033,19 @@ mod tests {
         for (det_ix, det) in plan.detectors.iter().enumerate() {
             let detect = format!("detect:{}", det.name());
             let seed = derive_seed(ctrl.seed, det.index_letter() as u64);
-            this_run.push((detect.clone(), key(&dirty_id, &detect, "labels=30", seed)));
+            this_run.push((detect.clone(), key(&dirty_id, &detect, CellInputs::Labels(30), seed)));
             // A repair cell keys on its repairer and the mask, and its root
             // is named for the first detector in plan order that emitted
             // the mask: one root for every coordinate it serves.
             let mask = mask_of(det);
             let first = plan.detectors.iter().find(|d| mask_of(d) == mask).unwrap();
-            let inputs = format!("mask={}", rein_ledger::content_key(mask));
+            let inputs = CellInputs::Mask(fnv1a64(mask.as_bytes()));
             for (ri, rep) in repairers.iter().enumerate() {
                 let repair = format!("repair:{}#{}", rep.name(), det.name());
                 if first == det {
                     let seed = derive_seed(ctrl.seed, rep.index() as u64);
                     let strategy = format!("repair:{}", rep.name());
-                    this_run.push((repair.clone(), key(&dirty_id, &strategy, &inputs, seed)));
+                    this_run.push((repair.clone(), key(&dirty_id, &strategy, inputs, seed)));
                 }
                 // An eval cell keys on the version its repair produced: the
                 // identity of the payload's CSV and row map.
@@ -1088,7 +1060,7 @@ mod tests {
                 let eval = format!("eval:S1:{}#{}", rep.name(), det.name());
                 assert!(cells.contains_key(&eval), "{repair} produced a version");
                 let seed = derive_seed(ctrl.seed, 40_000 + (det_ix as u64) * 1_000 + ri as u64);
-                this_run.push((eval.clone(), key(&version, &eval, "repeats=1", seed)));
+                this_run.push((eval.clone(), key(&version, &eval, CellInputs::Repeats(1), seed)));
             }
         }
         assert_eq!(this_run.len(), computed_cells(&cells), "every computed cell is accounted for");
@@ -1144,11 +1116,11 @@ mod tests {
         ];
         let store = Arc::new(Store::open(&root).unwrap());
         let ctrl = Controller { store: Some(store.clone()), ..direct };
-        let dirty_id = table_identity(&ds.dirty);
+        let grid = Grid::new(&ctrl, None, &ds);
         let detectors = ctrl.plan(&ds).detectors;
         let detect_key = |coordinate: &str, det: &DetectorKind| {
             let seed = derive_seed(ctrl.seed, det.index_letter() as u64);
-            ctrl.cell_key(&ds, &dirty_id, coordinate, "labels=30", ctrl.scale, seed).content_key()
+            grid.key(&grid.dirty_id, coordinate, CellInputs::Labels(30), seed).content_key()
         };
         for (i, det) in detectors.iter().enumerate() {
             let coordinate = format!("detect:{}", det.name());
@@ -1240,43 +1212,181 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
-    /// Writes a store with `write`'s S1 grid, reopens it and runs
-    /// `read`'s grid against it: the map must equal `read`'s store-less
-    /// grid. The two grids must differ, or the store could not replay a
-    /// stale cell.
-    fn reopened_store_serves_only_its_own_inputs(
-        tag: &str,
-        ds: &GeneratedDataset,
-        (write, write_repeats): (&Controller, usize),
-        (read, read_repeats): (&Controller, usize),
-    ) {
-        let root = std::env::temp_dir().join(format!("rein-ctrl-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let want = read.run_grid(ds, &[Scenario::S1], read_repeats);
-        let store = Some(Arc::new(Store::open(&root).unwrap()));
-        let written =
-            Controller { store, ..write.clone() }.run_grid(ds, &[Scenario::S1], write_repeats);
-        assert_ne!(want, written, "the {tag} change must change the grid");
-        let store = Some(Arc::new(Store::open(&root).unwrap()));
-        let got = Controller { store, ..read.clone() }.run_grid(ds, &[Scenario::S1], read_repeats);
-        let stale = want.iter().filter(|(k, v)| got.get(*k) != Some(*v)).count();
-        assert_eq!(stale, 0, "{stale} of {} cells replayed from another {tag}", want.len());
-        assert_eq!(want, got);
-        let _ = std::fs::remove_dir_all(&root);
+    /// One `run_grid` call: the controller and the grid's arguments.
+    #[derive(Clone)]
+    struct GridArgs<'d> {
+        ctrl: Controller,
+        ds: &'d GeneratedDataset,
+        scenarios: &'d [Scenario],
+        repeats: usize,
+    }
+
+    /// A grid's map and the failure records it added for its dataset
+    /// (sorted, without their wall-clock times).
+    type GridOutput = (BTreeMap<String, String>, Vec<String>);
+
+    /// Held by each store-equivalence test. The failure registry is
+    /// process-global, each of them degrades a breast_cancer cell, and no
+    /// other test in this binary does.
+    static FAILURE_REGISTRY: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Runs `args`' grid against `store`.
+    fn grid_output(args: &GridArgs, store: Option<Arc<Store>>) -> GridOutput {
+        let records = || -> Vec<String> {
+            rein_telemetry::failures_snapshot()
+                .into_iter()
+                .filter(|f| f.dataset == args.ds.info.name)
+                .map(|f| {
+                    format!(
+                        "{}:{}#{} {} x{} {}",
+                        f.phase, f.strategy, f.scope, f.cause, f.attempts, f.trace_id
+                    )
+                })
+                .collect()
+        };
+        let before = records();
+        let ctrl = Controller { store, ..args.ctrl.clone() };
+        let cells = ctrl.run_grid(args.ds, args.scenarios, args.repeats);
+        let mut added = records();
+        for record in before {
+            if let Some(at) = added.iter().position(|r| *r == record) {
+                added.swap_remove(at);
+            }
+        }
+        added.sort();
+        (cells, added)
+    }
+
+    /// A store never changes a grid's output. For every controller and
+    /// guard-policy field and every `run_grid` argument that `pick`
+    /// names, a store written under another value and reopened under the
+    /// base one serves the map and failure records of the store-less base
+    /// grid. The base policy degrades one repair cell (a scoped stall) and
+    /// retries a flaky detector, so the records are never empty. A keyed
+    /// value must change the grid, or a stale replay could not show; an
+    /// unkeyed one must leave it as it is, and the reopened grid must
+    /// replay every committed cell, recomputing only the degraded one.
+    fn assert_stores_never_change_the_grid(pick: impl Fn(&str) -> bool) {
+        let _registry = FAILURE_REGISTRY.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let ds = DatasetId::BreastCancer.generate(&Params::scaled(0.05, 29));
+        let (other_ds, smaller) = (
+            DatasetId::BreastCancer.generate(&Params::scaled(0.05, 30)),
+            DatasetId::BreastCancer.generate(&Params::scaled(0.04, 29)),
+        );
+        let chaos = rein_guard::ChaosSpec::parse(
+            "repair:impute_mean_mode#max_entropy=stall,detect:raha=flaky",
+        )
+        .unwrap();
+        let base = Controller {
+            label_budget: 30,
+            seed: 29,
+            policy: GuardPolicy { chaos, ..GuardPolicy::default() },
+            scale: 0.05,
+            progress: false,
+            store: None,
+        };
+        // No `..`: a new field does not compile until a case covers it.
+        let Controller { label_budget, seed, policy, scale, progress, store } = base.clone();
+        let GuardPolicy { chaos, retries, budget_override, crash } = policy.clone();
+        assert!(store.is_none() && !chaos.is_empty() && budget_override.is_none());
+        assert!(crash.is_empty());
+        let args = GridArgs { ctrl: base, ds: &ds, scenarios: &[Scenario::S1], repeats: 1 };
+        let with = |ctrl: Controller| GridArgs { ctrl, ..args.clone() };
+        let with_policy = |policy: GuardPolicy| with(Controller { policy, ..args.ctrl.clone() });
+        // (field, the value the store is written under, keyed)
+        let cases = [
+            ("store", args.clone(), false),
+            ("progress", with(Controller { progress: !progress, ..args.ctrl.clone() }), false),
+            (
+                "crash",
+                with_policy(GuardPolicy {
+                    // Names the degraded cell, which is never committed, so
+                    // it never fires.
+                    crash: rein_guard::CrashSpec::parse("repair:impute_mean_mode#max_entropy")
+                        .unwrap(),
+                    ..policy.clone()
+                }),
+                false,
+            ),
+            (
+                "label_budget",
+                with(Controller { label_budget: label_budget + 50, ..args.ctrl.clone() }),
+                true,
+            ),
+            ("seed", with(Controller { seed: seed + 1, ..args.ctrl.clone() }), true),
+            // The scale the dataset is generated at, as every bench binary
+            // pairs them.
+            (
+                "scale",
+                GridArgs {
+                    ctrl: Controller { scale: scale - 0.01, ..args.ctrl.clone() },
+                    ds: &smaller,
+                    ..args.clone()
+                },
+                true,
+            ),
+            (
+                "chaos",
+                with_policy(GuardPolicy { chaos: Default::default(), ..policy.clone() }),
+                true,
+            ),
+            ("retries", with_policy(GuardPolicy { retries: retries - 1, ..policy.clone() }), true),
+            (
+                "budget_override",
+                with_policy(GuardPolicy { budget_override: Some(1), ..policy.clone() }),
+                true,
+            ),
+            ("ds", GridArgs { ds: &other_ds, ..args.clone() }, true),
+            ("scenarios", GridArgs { scenarios: &[Scenario::S2], ..args.clone() }, true),
+            ("repeats", GridArgs { repeats: 2, ..args.clone() }, true),
+        ];
+        let picked: Vec<_> = cases.into_iter().filter(|(field, ..)| pick(field)).collect();
+        assert!(!picked.is_empty(), "no case picked");
+        let want = grid_output(&args, None);
+        assert_eq!(want.1.len(), 1, "one degraded cell: {:?}", want.1);
+        for (field, write, keyed) in picked {
+            let root = std::env::temp_dir()
+                .join(format!("rein-ctrl-equiv-{field}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&root);
+            let written = grid_output(&write, Some(Arc::new(Store::open(&root).unwrap())));
+            let reopened = Arc::new(Store::open(&root).unwrap());
+            let committed = reopened.recovery().replayed;
+            let (cells, failures) = grid_output(&args, Some(reopened));
+            let stale = want.0.iter().filter(|(k, v)| cells.get(*k) != Some(*v)).count();
+            assert_eq!(stale, 0, "{stale} of {} cells replayed from another {field}", want.0.len());
+            assert_eq!(cells, want.0, "{field}: the map differs from the store-less grid");
+            assert_eq!(
+                failures, want.1,
+                "{field}: the failure records differ from the store-less grid"
+            );
+            if keyed {
+                assert_ne!(written.0, want.0, "the {field} change must change the grid");
+            } else {
+                assert_eq!(written, want, "{field} must not change the grid");
+                let replayed = Store::open(&root).unwrap().recovery().replayed;
+                assert_eq!(
+                    replayed, committed,
+                    "{field}: the reopened grid recommitted a stored cell"
+                );
+            }
+            let _ = std::fs::remove_dir_all(&root);
+        }
+    }
+
+    /// Every case but the two that run as their own tests below.
+    #[test]
+    fn a_store_never_changes_a_grids_output() {
+        assert_stores_never_change_the_grid(|field| !matches!(field, "label_budget" | "repeats"));
     }
 
     #[test]
     fn a_store_written_under_another_label_budget_replays_no_cell() {
-        let ds = DatasetId::Beers.generate(&Params::scaled(0.05, 6));
-        let at = |label_budget| Controller { label_budget, seed: 7, ..Controller::default() };
-        reopened_store_serves_only_its_own_inputs("budget", &ds, (&at(30), 1), (&at(80), 1));
+        assert_stores_never_change_the_grid(|field| field == "label_budget");
     }
 
     #[test]
     fn a_store_written_under_other_repeats_replays_no_cell() {
-        let ds = DatasetId::Beers.generate(&Params::scaled(0.05, 6));
-        let ctrl = Controller { label_budget: 30, seed: 7, ..Controller::default() };
-        reopened_store_serves_only_its_own_inputs("repeats", &ds, (&ctrl, 1), (&ctrl, 3));
+        assert_stores_never_change_the_grid(|field| field == "repeats");
     }
 
     #[test]
@@ -1310,21 +1420,18 @@ mod tests {
         let base = Controller { label_budget: 30, seed: 7, ..Controller::default() };
         let mut crashy = base.clone();
         crashy.policy.crash = rein_guard::CrashSpec::parse("detect:raha=before").unwrap();
-        let vid = table_identity(&ds.dirty);
         let seed = derive_seed(base.seed, 40_000);
+        let key = |ctrl: &Controller| {
+            let grid = Grid::new(ctrl, None, &ds);
+            grid.key(&grid.dirty_id, "detect:raha", CellInputs::Labels(30), seed).content_key()
+        };
         // A crashed run and its resume (without REIN_CRASH) must address
         // the same cells: the crash spec is not a cache-key component.
-        assert_eq!(
-            base.cell_key(&ds, &vid, "detect:raha", "labels=30", 0.2, seed).content_key(),
-            crashy.cell_key(&ds, &vid, "detect:raha", "labels=30", 0.2, seed).content_key(),
-        );
+        assert_eq!(key(&base), key(&crashy));
         // Chaos degrades what a cell computes, so it still keys.
         let mut chaotic = base.clone();
         chaotic.policy.chaos = rein_guard::ChaosSpec::parse("detect:raha=panic").unwrap();
-        assert_ne!(
-            base.cell_key(&ds, &vid, "detect:raha", "labels=30", 0.2, seed).content_key(),
-            chaotic.cell_key(&ds, &vid, "detect:raha", "labels=30", 0.2, seed).content_key(),
-        );
+        assert_ne!(key(&base), key(&chaotic));
     }
 
     #[test]

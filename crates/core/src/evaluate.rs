@@ -206,9 +206,10 @@ pub struct DetectorRun {
 /// store hit): quality is recomputed against the ground truth — it is a
 /// pure function of the mask, so the replayed run is observably
 /// equivalent to the original except for `runtime` and `ticks`, which
-/// are zero because nothing executed. A replayed run never carries a failure:
-/// the store only ever holds the mask the original run committed, and
-/// a degraded run's empty mask replays as exactly that empty mask.
+/// are zero because nothing executed. A replayed run never carries a
+/// failure: the grid never commits a degraded cell, so a stored mask is
+/// always a healthy run's, and a degraded detector recomputes and
+/// records its failure again.
 pub fn replay_detector_run(
     ds: &GeneratedDataset,
     kind: DetectorKind,

@@ -16,7 +16,7 @@ pub mod repository;
 pub mod scenario;
 pub mod toolbox;
 
-pub use cache_key::CellKey;
+pub use cache_key::{CellInputs, CellKey};
 pub use controller::{CleaningStrategy, Controller, Plan};
 pub use evaluate::{
     detect_with_context, eval_classifier, eval_classifier_guarded, eval_clusterer,

@@ -247,6 +247,7 @@ pub struct Report {
 /// Reads and parses the run manifest at the repo-relative `source`.
 pub fn load_manifest(root: &Path, source: &str) -> Result<RunManifest, String> {
     let path = root.join(source);
+    #[expect(clippy::disallowed_methods, reason = "the ledger scan reads committed run manifests")]
     let text =
         std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
     RunManifest::from_json(&text).map_err(|e| format!("parse {}: {e}", path.display()))
@@ -257,6 +258,7 @@ pub fn load_manifest(root: &Path, source: &str) -> Result<RunManifest, String> {
 /// directory is an empty scan). The report and `rein_trace` share it.
 pub fn run_manifests(root: &Path) -> Result<Vec<(String, RunManifest)>, String> {
     let dir = root.join("artifacts").join("telemetry");
+    #[expect(clippy::disallowed_methods, reason = "the ledger scan lists committed run manifests")]
     let entries = match std::fs::read_dir(&dir) {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(format!("read dir {}: {e}", dir.display())),
@@ -964,6 +966,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the committed manifests and bench binaries are this test's fixture"
+    )]
     fn every_committed_manifest_parses_and_the_report_builds() {
         // The committed manifests are themselves the fixture: every one
         // must parse, and the report over them must build.

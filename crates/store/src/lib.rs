@@ -50,8 +50,11 @@
 //!
 //! All filesystem *reads* are confined to [`Store::open`]: the lookup
 //! and commit paths used inside `Controller::run_grid` touch only the
-//! in-memory index and the already-open journal handle, which keeps the
-//! grid's `cache-key-completeness` purity certificate intact.
+//! in-memory index and the already-open journal handle. Recovery's reads
+//! are the sanctioned sites of clippy's file-read rule (DESIGN.md §6b),
+//! and rein-core's `a_store_never_changes_a_grids_output` checks that a
+//! store written under any other input serves a grid only the map and
+//! failure records a store-less run produces.
 //!
 //! Past recovery, which copies each decoded field once into the index,
 //! the store never copies a cell's text: it is shared `Arc<str>`. A
@@ -357,6 +360,7 @@ impl Store {
 /// Sealed segment file names under `root`, oldest first: sorted by
 /// [`segment_index`], not by name, so `seg-10000.wal` replays after
 /// `seg-9999.wal`.
+#[expect(clippy::disallowed_methods, reason = "store recovery lists the store's own segments")]
 fn list_segments(root: &Path) -> std::io::Result<Vec<String>> {
     let mut out = Vec::new();
     for entry in std::fs::read_dir(root)? {
@@ -515,6 +519,7 @@ fn recover_file(
     report: &mut RecoveryReport,
 ) -> std::io::Result<()> {
     let path = root.join(name);
+    #[expect(clippy::disallowed_methods, reason = "store recovery reads the store's own journal")]
     let bytes = match std::fs::read(&path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
@@ -631,6 +636,10 @@ fn scan_file(bytes: &[u8]) -> ScanOutcome<'_> {
 /// structured report at `quarantine/report.json` (atomic rewrite).
 fn write_quarantine_report(root: &Path, fresh: &[QuarantineEntry]) -> std::io::Result<()> {
     let path = Store::quarantine_report_path(root);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "store recovery merges into its own quarantine report"
+    )]
     let mut entries: Vec<QuarantineEntry> = match std::fs::read_to_string(&path) {
         Ok(text) => serde_json::from_str(&text).unwrap_or_default(),
         Err(_) => Vec::new(),

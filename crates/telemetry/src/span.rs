@@ -93,6 +93,10 @@ static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Process start reference for `start_ms` offsets. Reads the clock
 /// through [`crate::perf::now`] — the one sanctioned wall-clock source.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "span timestamps go to the telemetry sink, never into a cell's value"
+)]
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(crate::perf::now)
@@ -322,6 +326,10 @@ pub fn span_under(name: impl Into<String>, parent: Option<SpanCtx>) -> Span {
 /// id through the thread-local stack, so the whole per-cell subtree is
 /// reconstructible from the merged stream no matter which rayon worker
 /// or sink shard carried each record.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "span timestamps go to the telemetry sink, never into a cell's value"
+)]
 pub fn span_traced(name: impl Into<String>, parent: Option<SpanCtx>, trace_id: u64) -> Span {
     let name = name.into();
     let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);

@@ -152,9 +152,10 @@ fi
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --all-targets -- -D warnings (also the per-site determinism rules: wall clock, env reads, raw writes, hash containers, prints, panics, discarded results, stale #[expect]s)"
+echo "==> cargo clippy --all-targets -- -D warnings (also the per-site determinism rules: wall clock and the telemetry clock, env reads, file reads, raw writes, hash containers, prints, panics, discarded results, stale #[expect]s)"
 # [workspace.lints.clippy] in Cargo.toml and crates/clippy.toml carry the
-# per-site determinism rules (DESIGN.md §6b); the audit above keeps only
+# per-site determinism rules (DESIGN.md §6b), among them the file and
+# clock reads a grid cell's key could not see; the audit above keeps only
 # the call-graph rules. A suppression is an #[expect] with a reason, and
 # one that stops matching fails here as unfulfilled_lint_expectations.
 cargo clippy --all-targets -- -D warnings
